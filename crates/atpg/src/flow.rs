@@ -1,7 +1,5 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::Netlist;
 use scanpower_sim::fault::{all_net_faults, Fault, FaultSim};
 use scanpower_sim::patterns::random_bool_patterns;
@@ -11,11 +9,18 @@ use scanpower_wire::{Wire, WireError, WireReader, WireWriter};
 
 use crate::podem::{Podem, PodemOutcome};
 
+/// Largest [`AtpgConfig::random_block_size`] a wire-decoded configuration
+/// may carry. The random phase allocates a whole block of patterns at
+/// once, so decoding refuses larger blocks instead of letting an untrusted
+/// submission abort the process on allocation failure.
+pub const MAX_RANDOM_BLOCK_SIZE: usize = 1 << 12;
+
 /// Configuration of the two-phase ATPG flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AtpgConfig {
     /// Patterns generated per random block (each block is fault simulated
-    /// and only kept if it detects new faults).
+    /// and only kept if it detects new faults). Decoding accepts
+    /// `1..=`[`MAX_RANDOM_BLOCK_SIZE`].
     pub random_block_size: usize,
     /// Stop the random phase after this many consecutive blocks without a
     /// new detection.
@@ -25,6 +30,7 @@ pub struct AtpgConfig {
     /// PODEM backtrack limit per fault in the deterministic phase.
     pub backtrack_limit: usize,
     /// Stop once this fault coverage has been reached (1.0 = complete).
+    /// Decoding accepts finite values in `[0, 1]`.
     pub target_coverage: f64,
     /// RNG seed; the whole flow is deterministic for a given seed.
     pub seed: u64,
@@ -54,6 +60,9 @@ impl Default for AtpgConfig {
 /// Canonical wire encoding: fields in declaration order. The ATPG
 /// configuration is part of the result-cache key (with `threads` zeroed by
 /// the caller, since the generated test set is thread-count invariant).
+/// Decoding rejects a `random_block_size` outside
+/// `1..=`[`MAX_RANDOM_BLOCK_SIZE`] and a `target_coverage` that is not a
+/// finite value in `[0, 1]` with [`WireError::Invalid`].
 impl Wire for AtpgConfig {
     fn encode_into(&self, writer: &mut WireWriter) {
         self.random_block_size.encode_into(writer);
@@ -65,7 +74,7 @@ impl Wire for AtpgConfig {
         self.threads.encode_into(writer);
     }
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(AtpgConfig {
+        let config = AtpgConfig {
             random_block_size: usize::decode_from(reader)?,
             random_stale_blocks: usize::decode_from(reader)?,
             random_max_blocks: usize::decode_from(reader)?,
@@ -73,7 +82,21 @@ impl Wire for AtpgConfig {
             target_coverage: f64::decode_from(reader)?,
             seed: u64::decode_from(reader)?,
             threads: usize::decode_from(reader)?,
-        })
+        };
+        if !(1..=MAX_RANDOM_BLOCK_SIZE).contains(&config.random_block_size) {
+            return Err(WireError::Invalid(format!(
+                "ATPG random_block_size {} outside 1..={MAX_RANDOM_BLOCK_SIZE}",
+                config.random_block_size
+            )));
+        }
+        // `contains` is false for NaN, and the range excludes both infinities.
+        if !(0.0..=1.0).contains(&config.target_coverage) {
+            return Err(WireError::Invalid(format!(
+                "ATPG target_coverage {} outside [0, 1]",
+                config.target_coverage
+            )));
+        }
+        Ok(config)
     }
 }
 
@@ -93,7 +116,7 @@ impl AtpgConfig {
 }
 
 /// A generated scan test set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestSet {
     /// Fully-specified patterns over the combinational inputs (primary
     /// inputs followed by scan cells, the order of
@@ -141,7 +164,7 @@ impl TestSet {
 type SimulatedBlock = (Vec<Vec<bool>>, Vec<Vec<(usize, u64)>>);
 
 /// The two-phase (random + PODEM) ATPG flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AtpgFlow {
     config: AtpgConfig,
 }
@@ -354,6 +377,44 @@ mod tests {
     use super::*;
     use scanpower_netlist::bench;
     use scanpower_netlist::generator::CircuitFamily;
+
+    #[test]
+    fn config_wire_round_trips_and_rejects_unbounded_values() {
+        let largest = AtpgConfig {
+            random_block_size: MAX_RANDOM_BLOCK_SIZE,
+            target_coverage: 1.0,
+            ..AtpgConfig::fast()
+        };
+        for config in [AtpgConfig::default(), AtpgConfig::fast(), largest] {
+            assert_eq!(
+                AtpgConfig::from_wire_bytes(&config.to_wire_bytes()).unwrap(),
+                config
+            );
+        }
+        let invalid = [
+            (0, 0.9),
+            (MAX_RANDOM_BLOCK_SIZE + 1, 0.9),
+            (1 << 40, 0.9),
+            (64, f64::NAN),
+            (64, f64::INFINITY),
+            (64, -0.5),
+            (64, 1.5),
+        ];
+        for (random_block_size, target_coverage) in invalid {
+            let config = AtpgConfig {
+                random_block_size,
+                target_coverage,
+                ..AtpgConfig::default()
+            };
+            assert!(
+                matches!(
+                    AtpgConfig::from_wire_bytes(&config.to_wire_bytes()),
+                    Err(WireError::Invalid(_))
+                ),
+                "{random_block_size} / {target_coverage} must be rejected"
+            );
+        }
+    }
 
     #[test]
     fn s27_reaches_high_coverage() {

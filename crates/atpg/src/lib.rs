@@ -34,5 +34,5 @@
 mod flow;
 mod podem;
 
-pub use flow::{AtpgConfig, AtpgFlow, TestSet};
+pub use flow::{AtpgConfig, AtpgFlow, TestSet, MAX_RANDOM_BLOCK_SIZE};
 pub use podem::{Podem, PodemOutcome};

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::{NetId, Netlist, Result};
 use scanpower_timing::{DelayModel, Sta};
 
@@ -72,7 +70,7 @@ impl AddMux {
 }
 
 /// Result of [`AddMux::plan`]: which pseudo-inputs receive a multiplexer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MuxPlan {
     /// Pseudo-input nets in scan-chain order.
     pub pseudo_inputs: Vec<NetId>,

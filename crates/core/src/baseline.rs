@@ -9,8 +9,6 @@
 //!   as possible are blocked inside the combinational logic. The technique
 //!   has no leakage awareness, so candidate selection is undirected.
 
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::Netlist;
 use scanpower_power::{LeakageLibrary, LeakageObservability};
 use scanpower_sim::scan::ShiftConfig;
@@ -79,7 +77,7 @@ impl InputControlBaseline {
 }
 
 /// Result of the input-control planning step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InputControlResult {
     /// The fully-specified primary-input values held during shift
     /// (don't-cares filled with 0).

@@ -11,8 +11,6 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use scanpower_atpg::{AtpgConfig, AtpgFlow};
 use scanpower_cache::{CacheKey, KeyBuilder, ResultCache};
 use scanpower_lint::{lint_netlist, LintFacts};
@@ -35,7 +33,7 @@ use crate::error::{ExperimentError, ExperimentResult};
 use crate::proposed::{ProposedMethod, ProposedOptions};
 
 /// Dynamic and static scan power of one structure (one cell of Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemePower {
     /// Dynamic power per hertz of scan clock (µW/Hz) — "Dynamic (/f)".
     pub dynamic_per_hz_uw: f64,
@@ -48,7 +46,7 @@ pub struct SchemePower {
 }
 
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CircuitRow {
     /// Circuit name.
     pub circuit: String,
@@ -119,32 +117,30 @@ fn improvement(reference: f64, improved: f64) -> f64 {
 /// deterministic [`ExperimentError::ResourceLimit`] — the supervision
 /// story's guard against one oversized submission starving every sibling
 /// job. `None` (the default) means unlimited.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceLimits {
     /// Refuse circuits with more than this many combinational gates
     /// (checked before ATPG runs).
-    #[serde(default)]
     pub max_gates: Option<usize>,
     /// Refuse experiments whose replayed pattern count exceeds this
     /// ceiling (checked after ATPG and the
     /// [`ExperimentOptions::max_patterns`] truncation, before any replay).
     /// Unlike `max_patterns` — which silently *caps* the workload — this is
     /// a hard refusal.
-    #[serde(default)]
     pub max_replayed_patterns: Option<usize>,
 }
 
 /// A shareable, optional reference to a [`ResultCache`] — the form in which
 /// the experiment harness carries its cache through [`ExperimentOptions`].
 ///
-/// The handle is runtime state, not configuration: it is skipped by the
-/// canonical wire encoding and by serde, it compares by *identity* (two
-/// handles are equal when they point at the same cache instance, or are
-/// both disabled), and the default is disabled — caching is strictly
-/// opt-in. Cloning the options clones the handle cheaply (an [`Arc`]
-/// bump), so every worker thread of a sharded run shares one cache.
-#[derive(Clone, Default, Serialize, Deserialize)]
-pub struct ResultCacheHandle(#[serde(skip)] Option<Arc<ResultCache>>);
+/// The handle is runtime state, not configuration: the canonical wire
+/// encoding skips it, it compares by *identity* (two handles are equal
+/// when they point at the same cache instance, or are both disabled), and
+/// the default is disabled — caching is strictly opt-in. Cloning the
+/// options clones the handle cheaply (an [`Arc`] bump), so every worker
+/// thread of a sharded run shares one cache.
+#[derive(Clone, Default)]
+pub struct ResultCacheHandle(Option<Arc<ResultCache>>);
 
 impl ResultCacheHandle {
     /// The disabled handle (the default): every lookup misses statically
@@ -199,7 +195,7 @@ impl fmt::Debug for ResultCacheHandle {
 }
 
 /// Options of the per-circuit experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentOptions {
     /// ATPG configuration used to generate the test set.
     pub atpg: AtpgConfig,
@@ -213,14 +209,12 @@ pub struct ExperimentOptions {
     /// [`resolve_worker_threads`](scanpower_sim::parallel::resolve_worker_threads)
     /// policy), `1` = the sequential fallback. The report is bit-identical
     /// whatever the count.
-    #[serde(default)]
     pub threads: usize,
     /// Replay the scan-shift process on the packed 64-lane kernel
     /// ([`PackedScanShiftSim`]) instead of the scalar event-driven
     /// simulator. Both paths produce bit-identical results; the packed
     /// replay is the fast default, the scalar path is kept for
     /// cross-checking.
-    #[serde(default = "default_packed_replay")]
     pub packed_replay: bool,
     /// Lane width of the packed replay: how many patterns one kernel pass
     /// evaluates. `64` (the default) runs on [`PackedWord`]; `256` and
@@ -231,7 +225,6 @@ pub struct ExperimentOptions {
     /// average — so the choice is purely a throughput knob. Ignored by the
     /// scalar replay (`packed_replay = false`). Any other value makes the
     /// replay panic.
-    #[serde(default = "default_lane_width")]
     pub lane_width: usize,
     /// Propagate each packed shift cycle event-driven
     /// ([`Propagation::EventDriven`]): only the fanout cones of the nets
@@ -243,7 +236,6 @@ pub struct ExperimentOptions {
     /// [`scalar_leakage_lookup`](ExperimentOptions::scalar_leakage_lookup).
     /// Ignored by the scalar replay (`packed_replay = false`), which has
     /// its own (scalar) event-driven engine.
-    #[serde(default = "default_event_driven")]
     pub event_driven: bool,
     /// Build the static-power estimator with [`LeakageLookup::Scalar`]:
     /// the packed observer then re-runs the scalar subset-enumeration
@@ -251,14 +243,12 @@ pub struct ExperimentOptions {
     /// ternary tables. Both lookups are bit-identical by construction —
     /// this flag exists purely so the cross-check configuration stays
     /// exercised (CI runs the suite with it once per matrix entry).
-    #[serde(default)]
     pub scalar_leakage_lookup: bool,
     /// Run the [`scanpower_lint`] static-analysis preflight before the
     /// experiment (the default). [`CircuitExperiment::run`] then refuses —
     /// with the full lint report — any circuit carrying an Error-severity
     /// finding (undriven nets, combinational loops, over-pin-limit gates,
     /// …), instead of failing deep inside the replay kernel.
-    #[serde(default = "default_lint_preflight")]
     pub lint_preflight: bool,
     /// Let the packed replay's static-power observer skip provably-static
     /// gates (the default): each scheme's shift configuration is analyzed
@@ -267,16 +257,13 @@ pub struct ExperimentOptions {
     /// table gather. Bit-identical by construction (a CI-pinned agreement
     /// suite keeps the off-configuration exercised); ignored by the scalar
     /// replay.
-    #[serde(default = "default_lint_facts_skip")]
     pub lint_facts_skip: bool,
     /// Resource ceilings checked before any simulation work dispatches —
     /// see [`ResourceLimits`]. Unlimited by default.
-    #[serde(default)]
     pub limits: ResourceLimits,
     /// Extra attempts [`run_table1_partial`] grants a circuit job whose
     /// attempt **panicked** (the transient-failure model; typed errors are
     /// deterministic and never retried). `0` (the default) fails fast.
-    #[serde(default)]
     pub retries: u32,
     /// Per-attempt deadline for [`run_table1_partial`] circuit jobs, in
     /// milliseconds. The deadline is cooperative: the replay polls a
@@ -284,7 +271,6 @@ pub struct ExperimentOptions {
     /// deterministic [`ExperimentError::Canceled`] row. `None` (the
     /// default) never cancels. Note that a deadline makes *whether* a row
     /// survives timing-dependent — surviving rows are still bit-identical.
-    #[serde(default)]
     pub job_deadline_ms: Option<u64>,
     /// Content-addressed result cache, disabled by default. When a cache is
     /// attached, [`CircuitExperiment::try_run`] looks each circuit's
@@ -300,28 +286,7 @@ pub struct ExperimentOptions {
     /// [`semantic_options_bytes`]. Cached rows are byte-identical to
     /// recomputed ones because the experiments are deterministic — the
     /// `cache_identity` CI step pins exactly that.
-    #[serde(default, skip)]
     pub result_cache: ResultCacheHandle,
-}
-
-fn default_packed_replay() -> bool {
-    true
-}
-
-fn default_lint_preflight() -> bool {
-    true
-}
-
-fn default_lint_facts_skip() -> bool {
-    true
-}
-
-fn default_lane_width() -> usize {
-    64
-}
-
-fn default_event_driven() -> bool {
-    true
 }
 
 impl Default for ExperimentOptions {
@@ -331,12 +296,12 @@ impl Default for ExperimentOptions {
             max_patterns: None,
             proposed: ProposedOptions::default(),
             threads: 0,
-            packed_replay: default_packed_replay(),
-            lane_width: default_lane_width(),
-            event_driven: default_event_driven(),
+            packed_replay: true,
+            lane_width: 64,
+            event_driven: true,
             scalar_leakage_lookup: false,
-            lint_preflight: default_lint_preflight(),
-            lint_facts_skip: default_lint_facts_skip(),
+            lint_preflight: true,
+            lint_facts_skip: true,
             limits: ResourceLimits::default(),
             retries: 0,
             job_deadline_ms: None,
@@ -376,9 +341,15 @@ pub fn semantic_options_bytes(options: &ExperimentOptions) -> Vec<u8> {
     (atpg, options.max_patterns, proposed).to_wire_bytes()
 }
 
+/// Key domain of cached [`CircuitRow`]s. Bump it whenever a row's meaning
+/// changes, together with the golden row fingerprint pinned in this
+/// module's tests, so a disk tier never serves rows computed under an
+/// older meaning.
+const ROW_KEY_DOMAIN: &str = "scanpower/table1-row/v1";
+
 /// The result-cache key of one circuit's finished [`CircuitRow`].
 fn row_cache_key(netlist_bytes: &[u8], options: &ExperimentOptions) -> CacheKey {
-    KeyBuilder::new("scanpower/table1-row/v1")
+    KeyBuilder::new(ROW_KEY_DOMAIN)
         .part(env!("CARGO_PKG_VERSION").as_bytes())
         .part(netlist_bytes)
         .part(&semantic_options_bytes(options))
@@ -852,7 +823,7 @@ fn packed_scheme_replay<W: PackedLogicWord>(
 }
 
 /// A complete Table I reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Report {
     /// One row per circuit, in the order they were run.
     pub rows: Vec<CircuitRow>,
@@ -1265,6 +1236,42 @@ mod tests {
             );
         }
         assert!(report.average_dynamic_improvement() > 0.0);
+    }
+
+    /// Digest of the row wire bytes of [`golden_rows_digest`]'s fixed run,
+    /// computed when [`ROW_KEY_DOMAIN`] was last set.
+    const GOLDEN_ROWS_DIGEST: u128 = 0x99af_233b_c03e_dac3_df45_e9b9_914b_358e;
+
+    /// A small fixed Table I run (three circuits at scale 0.1, the fast
+    /// profile, seed 1) folded into one [`ContentHasher`] digest, one part
+    /// per row's wire bytes.
+    fn golden_rows_digest(threads: usize) -> u128 {
+        let specs = &CircuitFamily::table1()[..3];
+        let options = ExperimentOptions {
+            threads,
+            ..ExperimentOptions::fast()
+        };
+        let report = run_table1(specs, &options, Some(0.1), 1);
+        let mut hasher = scanpower_wire::ContentHasher::new();
+        for row in &report.rows {
+            hasher.write_part(&row.to_wire_bytes());
+        }
+        hasher.finish()
+    }
+
+    /// The golden semantics fingerprint: cached rows are keyed on
+    /// [`ROW_KEY_DOMAIN`], so any change to what a row means must bump the
+    /// domain and this digest together.
+    #[test]
+    fn golden_row_fingerprint_is_pinned_to_the_key_domain() {
+        for threads in [1, 0] {
+            let digest = golden_rows_digest(threads);
+            assert_eq!(
+                digest, GOLDEN_ROWS_DIGEST,
+                "row bytes changed (threads = {threads}, digest {digest:#x}): \
+                 bump ROW_KEY_DOMAIN ({ROW_KEY_DOMAIN}) and GOLDEN_ROWS_DIGEST together"
+            );
+        }
     }
 
     #[test]

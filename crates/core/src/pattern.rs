@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::{NetId, Netlist};
 use scanpower_power::LeakageObservability;
 use scanpower_sim::Logic;
@@ -148,7 +146,7 @@ impl ControlPatternFinder {
 }
 
 /// Counters describing a `FindControlledInputPattern()` run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PatternStats {
     /// Transition gates whose transition was blocked by a justified
     /// controlling value.
@@ -167,7 +165,7 @@ pub struct PatternStats {
 }
 
 /// A (partially specified) scan-mode pattern for the controlled inputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlPattern {
     /// Value of every combinational input (primary inputs then
     /// pseudo-inputs, the order of `Evaluator::inputs`). Controlled inputs

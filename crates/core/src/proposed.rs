@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::{Netlist, Result};
 use scanpower_power::reorder::{self, ReorderReport};
 use scanpower_power::{InputVectorControl, LeakageEstimator, LeakageLibrary, LeakageObservability};
@@ -12,7 +10,7 @@ use crate::pattern::{ControlPattern, ControlPatternFinder};
 use crate::structure::ScanStructure;
 
 /// Options of the proposed flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProposedOptions {
     /// Whether justification decisions are directed by leakage observability
     /// (the paper's method) or undirected (ablation).
@@ -43,7 +41,6 @@ pub struct ProposedOptions {
     /// sequential fallback. The flow's result is bit-identical whatever the
     /// count; `run_table1` budgets this knob when it shards circuits across
     /// an outer driver.
-    #[serde(default)]
     pub threads: usize,
 }
 

@@ -8,15 +8,12 @@
 use std::fmt;
 
 use scanpower_netlist::{GateId, NetId};
-use serde::{Deserialize, Serialize};
 
 /// How serious a finding is.
 ///
 /// Ordered so that `Note < Warning < Error`, which lets callers gate on
 /// `severity >= Severity::Warning` style thresholds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Severity {
     /// Informational: nothing wrong, but worth knowing (e.g. provably
     /// constant nets).
@@ -41,7 +38,7 @@ impl fmt::Display for Severity {
 }
 
 /// Stable identifiers for every check the analyzer performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LintCode {
     /// `SPL001`: a used net (gate/DFF input or primary output) has no driver.
     UndrivenNet,
@@ -131,7 +128,7 @@ impl fmt::Display for LintCode {
 
 /// A net location attached to a diagnostic: the id plus the name it had in
 /// the source, so reports stay readable after the netlist is dropped.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetRef {
     /// Net id inside the linted netlist.
     pub id: NetId,
@@ -140,7 +137,7 @@ pub struct NetRef {
 }
 
 /// A gate location attached to a diagnostic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateRef {
     /// Gate id inside the linted netlist.
     pub id: GateId,
@@ -150,7 +147,7 @@ pub struct GateRef {
 
 /// One finding: a code, a severity, a human-readable message and the
 /// locations (nets/gates/source line) it applies to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Stable lint code.
     pub code: LintCode,
@@ -219,7 +216,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// The machine-readable result of linting one circuit.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LintReport {
     /// Name of the linted circuit.
     pub circuit: String,
@@ -295,9 +292,9 @@ impl LintReport {
 
     /// Renders the report as JSON.
     ///
-    /// The vendored `serde` stand-in has no wire format, so the report writes
-    /// its own: a stable, minimal schema (`circuit`, `diagnostics[]` with
-    /// `code`, `severity`, `message`, `nets`, `gates`, `line`).
+    /// The schema is hand-written so it stays stable whatever the Rust
+    /// types look like: `circuit`, `diagnostics[]` with `code`, `severity`,
+    /// `message`, `nets`, `gates`, `line`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");

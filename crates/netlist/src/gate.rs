@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::netlist::{GateId, NetId};
@@ -8,7 +7,7 @@ use crate::netlist::{GateId, NetId};
 /// `Dff` cells and primary inputs are *not* represented as `GateKind`s; they
 /// are tracked separately by [`crate::Netlist`] so that the combinational
 /// part of the circuit is always a DAG of `GateKind` gates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GateKind {
     /// Single-input buffer.
     Buf,
@@ -174,7 +173,7 @@ impl fmt::Display for GateKind {
 }
 
 /// A combinational gate instance inside a [`crate::Netlist`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Gate {
     /// Logic function.
     pub kind: GateKind,

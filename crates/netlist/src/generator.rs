@@ -22,8 +22,6 @@
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
-
 use scanpower_wire::{Wire, WireError, WireReader, WireWriter};
 
 use crate::error::{NetlistError, Result};
@@ -57,7 +55,7 @@ pub const TABLE1_CIRCUITS: &[&str] = &[
 ];
 
 /// Size specification of a synthetic circuit.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CircuitFamily {
     name: String,
     inputs: usize,

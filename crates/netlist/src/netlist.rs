@@ -1,15 +1,13 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use scanpower_wire::{Wire, WireError, WireReader, WireWriter};
 
 use crate::error::{NetlistError, Result};
 use crate::gate::{Gate, GateKind, GateOutput};
 
 /// Identifier of a net (a signal line) inside a [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub(crate) u32);
 
 impl NetId {
@@ -34,7 +32,7 @@ impl fmt::Display for NetId {
 }
 
 /// Identifier of a combinational gate inside a [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GateId(pub(crate) u32);
 
 impl GateId {
@@ -58,7 +56,7 @@ impl fmt::Display for GateId {
 }
 
 /// What drives a net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetDriver {
     /// The net is not driven (only legal transiently while building).
     None,
@@ -72,7 +70,7 @@ pub enum NetDriver {
 }
 
 /// A signal line of the circuit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Net {
     /// Net name (unique within the netlist).
     pub name: String,
@@ -96,7 +94,7 @@ impl Net {
 }
 
 /// A D flip-flop (full-scan state element).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DffCell {
     /// Net feeding the D pin (pseudo-output of the combinational part).
     pub d: NetId,
@@ -112,7 +110,7 @@ pub struct DffCell {
 /// The combinational part (everything except the flip-flops) is required to
 /// be acyclic; [`Netlist::validate`] and [`crate::topo`] enforce and exploit
 /// this.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     name: String,
     nets: Vec<Net>,

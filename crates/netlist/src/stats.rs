@@ -1,13 +1,11 @@
 //! Circuit statistics used by reports and experiment summaries.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gate::GateKind;
 use crate::netlist::Netlist;
 use crate::topo;
 
 /// Structural statistics of a netlist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CircuitStats {
     /// Circuit name.
     pub name: String,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::Netlist;
 use scanpower_sim::scan::ShiftStats;
 use scanpower_timing::CapacitanceModel;
@@ -13,7 +11,7 @@ use crate::model::VDD;
 /// capacitance at that net. The result is reported **per hertz** (µW/Hz),
 /// exactly like the "Dynamic (/f)" columns of Table I, so the caller can
 /// multiply by the scan clock frequency of interest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicPower {
     /// Supply voltage (volts).
     pub supply: f64,
@@ -66,7 +64,7 @@ impl DynamicPower {
 }
 
 /// Result of a dynamic power estimation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicPowerReport {
     /// Dynamic power per hertz of scan clock (µW/Hz) — the unit of the
     /// "Dynamic (/f)" columns of Table I.

@@ -1,7 +1,5 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::Netlist;
 use scanpower_sim::kernel::pack_logic_patterns;
 use scanpower_sim::{BlockDriver, Logic, PackedWord, SimKernel};
@@ -28,7 +26,7 @@ use crate::leakage::LeakageEstimator;
 /// [`BlockDriver`] (one kernel clone per worker); the winning vector and
 /// its leakage are bit-identical whatever the thread count, because block
 /// results are reduced in block order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputVectorControl {
     /// Number of random completions to evaluate.
     pub samples: usize,
@@ -197,7 +195,7 @@ impl InputVectorControl {
 }
 
 /// Result of a minimum-leakage vector search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IvcResult {
     /// The best (lowest-leakage) complete input vector found, in
     /// combinational-input order.

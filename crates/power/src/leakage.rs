@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use scanpower_lint::LintFacts;
 use scanpower_netlist::{GateId, GateKind, NetId, Netlist};
 use scanpower_sim::failpoint;
@@ -11,7 +9,7 @@ use crate::model::{self, LeakageParams, VDD};
 
 /// Per-gate-type, per-input-state leakage tables (the paper's "several
 /// tables containing the leakage of each gate for a given input pattern").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeakageLibrary {
     params: LeakageParams,
     supply: f64,
@@ -106,7 +104,7 @@ impl LeakageLibrary {
 /// by the scalar lookup itself — so the scalar mode exists purely as a
 /// cross-check against the precompute (and as the measuring stick in the
 /// `scan_shift` leakage-lookup bench).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LeakageLookup {
     /// Precompute per-gate ternary tables at build time and look every
     /// lane's state up with one bit-plane gather per gate (the default).
@@ -449,7 +447,7 @@ fn averaged_table_lookup(table: &[f64], pins: impl Iterator<Item = Logic>) -> f6
 
 /// Running average of leakage over a sequence of observed circuit states
 /// (used while replaying scan-shift cycles).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LeakageAverage {
     total_na: f64,
     samples: usize,

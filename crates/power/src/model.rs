@@ -17,15 +17,13 @@
 //!   value matters (the "01 vs 10" asymmetry), which is what the gate
 //!   input-reordering step exploits.
 
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::GateKind;
 
 /// Supply voltage of the paper's 45 nm experiments (volts).
 pub const VDD: f64 = 0.9;
 
 /// Per-transistor leakage components (nanoamperes) and stack factors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeakageParams {
     /// Subthreshold current of a single OFF NMOS with full `V_DS` (nA).
     pub sub_n: f64,

@@ -9,15 +9,13 @@
 //! equivalent state. The paper applies this globally as the last step of the
 //! proposed flow.
 
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::{GateId, GateKind, Netlist};
 use scanpower_sim::Logic;
 
 use crate::leakage::LeakageLibrary;
 
 /// Outcome of the reordering pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReorderReport {
     /// Number of gates whose pins were permuted.
     pub gates_changed: usize,

@@ -13,14 +13,12 @@
 //! topological pass using one [`PackedWord`] per net, for the fault-free
 //! circuit and for every fault's fanout-cone overlay alike.
 
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::{topo, NetId, Netlist};
 
 use crate::kernel::{self, pack_bool_patterns, LogicWord, PackedWord, SimKernel};
 
 /// A single stuck-at fault on a net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fault {
     /// Faulty net.
     pub net: NetId,

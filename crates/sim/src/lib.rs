@@ -34,9 +34,8 @@
 //! * [`fault`] — 64-pattern-per-pass stuck-at fault simulation used by the
 //!   ATPG substitute.
 //! * [`parallel`] — the [`BlockDriver`]: deterministic sharding of
-//!   independent ≤64-lane blocks across threads (scoped threads by default,
-//!   rayon behind the `parallel-rayon` feature, sequential fallback at one
-//!   thread), with results merged in block order so every reduction is
+//!   independent ≤64-lane blocks across scoped threads (sequential fallback
+//!   at one thread), with results merged in block order so every reduction is
 //!   bit-identical to the sequential loop. Panicking jobs are isolated
 //!   per job; [`BlockDriver::map_supervised`] adds typed per-job failures,
 //!   a bounded retry budget and cooperative cancellation ([`CancelFlag`]).

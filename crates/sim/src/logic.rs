@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::GateKind;
 
 /// Three-valued logic with Kleene (pessimistic) semantics.
@@ -9,7 +7,7 @@ use scanpower_netlist::GateKind;
 /// `X` represents an unknown or unassigned value; it is the value of every
 /// don't-care controlled input while the paper's
 /// `FindControlledInputPattern()` procedure is running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Logic {
     /// Logic low.
     Zero,

@@ -15,15 +15,12 @@
 //! is performed in exactly the order the sequential loop would have used —
 //! the output is bit-identical regardless of the thread count.
 //!
-//! Backends:
+//! Execution paths:
 //!
 //! * thread count `1` (or a single job) — the zero-thread fallback: the
 //!   closures run inline on the caller's thread, no worker is spawned;
-//! * default — sharding over [`std::thread::scope`] workers pulling jobs
-//!   from an atomic counter;
-//! * `parallel-rayon` feature — recursive `rayon::join` splitting (the
-//!   offline build vendors a stand-in; against real rayon the driver
-//!   inherits its pool).
+//! * otherwise — sharding over [`std::thread::scope`] workers pulling jobs
+//!   from an atomic counter.
 //!
 //! # Failure handling
 //!
@@ -46,9 +43,7 @@
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-#[cfg(not(feature = "parallel-rayon"))]
-use std::sync::atomic::AtomicUsize;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -683,14 +678,13 @@ where
         .collect()
 }
 
-/// Default backend: scoped worker threads pulling job indices from a shared
-/// atomic counter. Each worker stashes `(job, outcome)` pairs locally; the
+/// The parallel backend: scoped worker threads pulling job indices from a
+/// shared atomic counter. Each worker stashes `(job, outcome)` pairs locally; the
 /// caller scatters them back into job order, so scheduling never leaks into
 /// the output. Jobs run under [`catch_unwind`]: a panicking job yields its
 /// payload as that job's outcome and the worker keeps draining the queue —
 /// with a fresh context, since the panic may have left the old one
 /// half-updated.
-#[cfg(not(feature = "parallel-rayon"))]
 fn parallel_map<C, R, I, F>(
     jobs: usize,
     workers: usize,
@@ -742,63 +736,6 @@ where
         }
     }
     slots
-}
-
-/// `parallel-rayon` backend: recursive binary splitting over `rayon::join`
-/// down to contiguous runs of about `jobs / workers` jobs; each leaf builds
-/// one context. Results land in job-indexed slots, so the merge order is
-/// identical to the default backend's.
-#[cfg(feature = "parallel-rayon")]
-fn parallel_map<C, R, I, F>(
-    jobs: usize,
-    workers: usize,
-    init: &I,
-    run: &F,
-) -> Vec<Option<JobOutcome<R>>>
-where
-    R: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, usize) -> R + Sync,
-{
-    let mut slots: Vec<Option<JobOutcome<R>>> = (0..jobs).map(|_| None).collect();
-    let leaf = jobs.div_ceil(workers).max(1);
-    rayon_fill(0, &mut slots, leaf, init, run);
-    slots
-}
-
-#[cfg(feature = "parallel-rayon")]
-fn rayon_fill<C, R, I, F>(
-    offset: usize,
-    slots: &mut [Option<JobOutcome<R>>],
-    leaf: usize,
-    init: &I,
-    run: &F,
-) where
-    R: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, usize) -> R + Sync,
-{
-    if slots.len() <= leaf {
-        let mut context = init();
-        for (index, slot) in slots.iter_mut().enumerate() {
-            // Same per-job isolation as the scoped-thread backend: a panic
-            // becomes the job's outcome and the leaf continues with a
-            // fresh context.
-            let outcome = catch_unwind(AssertUnwindSafe(|| run(&mut context, offset + index)));
-            let failed = outcome.is_err();
-            *slot = Some(outcome);
-            if failed {
-                context = init();
-            }
-        }
-        return;
-    }
-    let mid = slots.len() / 2;
-    let (left, right) = slots.split_at_mut(mid);
-    rayon::join(
-        || rayon_fill(offset, left, leaf, init, run),
-        || rayon_fill(offset + mid, right, leaf, init, run),
-    );
 }
 
 #[cfg(test)]
@@ -990,9 +927,8 @@ mod tests {
 
     #[test]
     fn map_with_reuses_contexts_under_parallel_drivers() {
-        // Contexts are per worker (scoped-thread backend) or per contiguous
-        // leaf (rayon backend) — never per job: far fewer inits than jobs,
-        // and every job runs exactly once whatever the scheduling.
+        // Contexts are per worker — never per job: far fewer inits than
+        // jobs, and every job runs exactly once whatever the scheduling.
         for threads in [2, 3, 8] {
             let inits = AtomicUsize::new(0);
             let jobs = 64usize;

@@ -8,8 +8,6 @@
 //! state to an observer (the leakage estimator uses this to average static
 //! power over the scan operation).
 
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::{NetId, Netlist};
 
 use crate::incremental::IncrementalSim;
@@ -17,7 +15,7 @@ use crate::logic::Logic;
 
 /// One scan test pattern: the primary-input part applied at capture and the
 /// value destined for every scan cell.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanPattern {
     /// Primary-input values applied when the test is launched (capture
     /// cycle), one per primary input in netlist order.
@@ -39,7 +37,7 @@ impl ScanPattern {
 }
 
 /// How the circuit inputs are driven while the chain is shifting.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShiftConfig {
     /// Values held on the primary inputs during shift. `None` keeps the
     /// primary inputs at the pattern's own PI values (the traditional scan
@@ -82,7 +80,7 @@ impl ShiftConfig {
 }
 
 /// Which phase of the scan protocol an observed state belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShiftPhase {
     /// A shift cycle: the chain moved by one position.
     Shift,
@@ -91,7 +89,7 @@ pub enum ShiftPhase {
 }
 
 /// Per-net transition counts accumulated over a scan simulation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShiftStats {
     /// Number of test patterns simulated.
     pub patterns: usize,

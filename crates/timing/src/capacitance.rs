@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::{GateId, GateKind, NetId, Netlist};
 
 /// Pin and wire capacitance model used for dynamic-power estimation.
@@ -9,7 +7,7 @@ use scanpower_netlist::{GateId, GateKind, NetId, Netlist};
 /// capacitance at the output of gate `i`. This model supplies `C_Li` as the
 /// sum of the input-pin capacitances of the driven gates plus a per-fanout
 /// wire contribution. All capacitances are in femtofarads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacitanceModel {
     /// Input-pin capacitance of an inverter (fF).
     pub inverter_pin: f64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::{GateId, GateKind, Netlist};
 use scanpower_wire::{Wire, WireError, WireReader, WireWriter};
 
@@ -9,7 +7,7 @@ use scanpower_wire::{Wire, WireError, WireReader, WireWriter};
 /// 45 nm standard-cell library driven at nominal voltage; the *relative*
 /// delays are what matters for the critical-path decisions in `AddMUX`, not
 /// the absolute picosecond values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DelayModel {
     /// Delay of an inverter (ps).
     pub inverter_delay: f64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use scanpower_netlist::{topo, GateId, NetId, Netlist, Result};
 
 use crate::delay::DelayModel;
@@ -90,7 +88,7 @@ impl Default for Sta {
 }
 
 /// Result of a static timing analysis run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimingReport {
     arrival: Vec<f64>,
     departure: Vec<f64>,

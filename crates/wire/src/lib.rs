@@ -9,7 +9,7 @@
 //!   Encoding is infallible (it appends to a growable buffer); decoding
 //!   returns a typed [`WireError`].
 //! * [`WireWriter`] / [`WireReader`] — the byte-level primitives, in the
-//!   style of `naia/serde`'s `BitWriter`/`BitReader`: fixed-width
+//!   style of naia's `BitWriter`/`BitReader`: fixed-width
 //!   little-endian integers, `f64::to_bits()` for byte-stable floats, and
 //!   length-prefixed collections.
 //! * [`encode_message`] / [`decode_message`] — the versioned envelope

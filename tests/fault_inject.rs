@@ -3,8 +3,9 @@
 //! Built only with `--features fault-inject` (see `crates/suite/Cargo.toml`:
 //! the target is gated by `required-features`). Every test here injects a
 //! failure into a named failpoint — the supervised per-circuit jobs of
-//! [`run_table1_partial`], the packed replay's block loop, or the leakage
-//! observer — and then checks the robustness contract:
+//! [`run_table1_partial`], the packed replay's block loop, the leakage
+//! observer, or the job service's session loop and queue — and then checks
+//! the robustness contract:
 //!
 //! 1. the process survives (the panic is isolated into the failed
 //!    circuit's slot as [`ExperimentError::WorkerFailed`]),
@@ -26,6 +27,9 @@ use scanpower_suite::core::experiment::{
 };
 use scanpower_suite::core::ExperimentError;
 use scanpower_suite::netlist::generator::CircuitFamily;
+use scanpower_suite::serve::protocol::{CircuitSource, JobSpec, Request, Response};
+use scanpower_suite::serve::transport::LocalTransport;
+use scanpower_suite::serve::{ServeClient, ServeConfig, Server};
 use scanpower_suite::sim::failpoint::{self, Fault};
 
 const SCALE: Option<f64> = Some(0.3);
@@ -296,4 +300,76 @@ fn injected_panic_does_not_break_streamed_delivery_order() {
             ExperimentError::WorkerFailed { .. }
         ));
     }
+}
+
+// The `serve::*` failpoint drills: an injected session fault turns exactly
+// the targeted request into a typed error frame, an injected queue fault
+// refuses exactly the targeted admission — and the server keeps serving in
+// both cases. They live here rather than in tests/serve.rs because the
+// registry is process-global: a `serve::session` fault armed beside that
+// rig's unscoped tests would trip their requests too.
+
+#[test]
+fn injected_session_fault_fails_one_request_not_the_session() {
+    let _scope = failpoint::scope();
+    // The 2nd request frame of every session trips.
+    failpoint::configure("serve::session", Fault::error().for_key(2));
+    let server = Server::new(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    });
+    let (transport, connector) = LocalTransport::new();
+    let listener = server.spawn_listener(transport);
+    let mut client = ServeClient::new(connector.connect().unwrap());
+    assert!(matches!(
+        client.request(&Request::PollJob(1)).unwrap(),
+        Response::JobStatus { .. }
+    ));
+    let Response::Error { message } = client.request(&Request::PollJob(1)).unwrap() else {
+        panic!("the second request must trip the failpoint");
+    };
+    assert_eq!(message, "injected fault at failpoint `serve::session`");
+    assert!(matches!(
+        client.request(&Request::PollJob(1)).unwrap(),
+        Response::JobStatus { .. }
+    ));
+    drop(client);
+    drop(connector);
+    listener.join().unwrap();
+}
+
+#[test]
+fn injected_queue_fault_refuses_one_admission_not_the_server() {
+    let _scope = failpoint::scope();
+    // Job id 1 (the first admission) trips.
+    failpoint::configure("serve::queue", Fault::error().for_key(1));
+    let server = Server::new(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    });
+    let (transport, connector) = LocalTransport::new();
+    let listener = server.spawn_listener(transport);
+    let mut client = ServeClient::new(connector.connect().unwrap());
+    let spec = JobSpec {
+        circuits: vec![CircuitSource::Family {
+            spec: specs().swap_remove(0),
+            scale: SCALE,
+            seed: SEED,
+        }],
+        options: options(1),
+    };
+    let Response::Error { message } = client.submit(&spec).unwrap() else {
+        panic!("the first admission must trip the failpoint");
+    };
+    assert_eq!(message, "injected fault at failpoint `serve::queue`");
+    // Nothing was queued; the next admission is served normally.
+    assert!(matches!(
+        client.submit(&spec).unwrap(),
+        Response::JobAccepted { .. }
+    ));
+    assert!(server.run_pending_job());
+    assert!(!server.run_pending_job());
+    drop(client);
+    drop(connector);
+    listener.join().unwrap();
 }

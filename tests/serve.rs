@@ -308,7 +308,8 @@ fn cancel_job_cancels_every_circuit_deterministically() {
 /// foreign magic and a wrong format version. Every one gets a decodable
 /// response frame back on the same connection — usually a typed `Error`,
 /// occasionally a legitimate response when the flip lands on a value byte
-/// — and the session keeps answering valid requests afterwards.
+/// — and the session keeps answering valid requests afterwards. Well-formed
+/// submissions with out-of-range ATPG options get a typed `Error` too.
 #[test]
 fn corrupted_request_payloads_get_typed_responses_and_never_wedge() {
     let server = Server::new(ServeConfig {
@@ -354,6 +355,26 @@ fn corrupted_request_payloads_get_typed_responses_and_never_wedge() {
     };
     assert!(message.contains("version"), "got: {message}");
     assert_eq!(&valid[..4], &WIRE_MAGIC, "sanity: envelope layout");
+
+    // Well-formed submissions with unbounded ATPG options are typed
+    // rejections: a 2^40-pattern random block must never reach the
+    // allocator, and a NaN coverage target must never reach the flow.
+    let mut oversized_block = options(1, 64);
+    oversized_block.atpg.random_block_size = 1 << 40;
+    let mut nan_target = options(1, 64);
+    nan_target.atpg.target_coverage = f64::NAN;
+    for (case, opts) in [("oversized block", oversized_block), ("NaN", nan_target)] {
+        let submit = Request::SubmitJob(Box::new(JobSpec {
+            circuits: sources(&[0]),
+            options: opts,
+        }));
+        conn.send_frame(&encode_message(&submit)).unwrap();
+        let reply = conn.recv_frame().unwrap().unwrap();
+        let Response::Error { message } = decode_message::<Response>(&reply).unwrap() else {
+            panic!("{case}: an unbounded ATPG option must be a typed error");
+        };
+        assert!(message.contains("ATPG"), "{case}: got {message}");
+    }
 
     // The session still works.
     conn.send_frame(&valid).unwrap();
@@ -409,76 +430,4 @@ fn broken_framing_ends_the_session_but_not_the_server() {
     drop(client);
     drop(connector);
     listener.join().unwrap();
-}
-
-/// Fault-injection drills for the `serve::*` failpoints (compiled only on
-/// the `fault-inject` leg): an injected session fault turns exactly the
-/// targeted request into a typed error frame, an injected queue fault
-/// refuses exactly the targeted admission — and the server keeps serving
-/// in both cases.
-#[cfg(feature = "fault-inject")]
-mod fault_drills {
-    use super::*;
-    use scanpower_suite::sim::failpoint::{self, Fault};
-
-    #[test]
-    fn injected_session_fault_fails_one_request_not_the_session() {
-        let _scope = failpoint::scope();
-        // The 2nd request frame of every session trips.
-        failpoint::configure("serve::session", Fault::error().for_key(2));
-        let server = Server::new(ServeConfig {
-            workers: 0,
-            ..ServeConfig::default()
-        });
-        let (transport, connector) = LocalTransport::new();
-        let listener = server.spawn_listener(transport);
-        let mut client = ServeClient::new(connector.connect().unwrap());
-        assert!(matches!(
-            client.request(&Request::PollJob(1)).unwrap(),
-            Response::JobStatus { .. }
-        ));
-        let Response::Error { message } = client.request(&Request::PollJob(1)).unwrap() else {
-            panic!("the second request must trip the failpoint");
-        };
-        assert_eq!(message, "injected fault at failpoint `serve::session`");
-        assert!(matches!(
-            client.request(&Request::PollJob(1)).unwrap(),
-            Response::JobStatus { .. }
-        ));
-        drop(client);
-        drop(connector);
-        listener.join().unwrap();
-    }
-
-    #[test]
-    fn injected_queue_fault_refuses_one_admission_not_the_server() {
-        let _scope = failpoint::scope();
-        // Job id 1 (the first admission) trips.
-        failpoint::configure("serve::queue", Fault::error().for_key(1));
-        let server = Server::new(ServeConfig {
-            workers: 0,
-            ..ServeConfig::default()
-        });
-        let (transport, connector) = LocalTransport::new();
-        let listener = server.spawn_listener(transport);
-        let mut client = ServeClient::new(connector.connect().unwrap());
-        let spec = JobSpec {
-            circuits: sources(&[0]),
-            options: options(1, 64),
-        };
-        let Response::Error { message } = client.submit(&spec).unwrap() else {
-            panic!("the first admission must trip the failpoint");
-        };
-        assert_eq!(message, "injected fault at failpoint `serve::queue`");
-        // Nothing was queued; the next admission is served normally.
-        assert!(matches!(
-            client.submit(&spec).unwrap(),
-            Response::JobAccepted { .. }
-        ));
-        assert!(server.run_pending_job());
-        assert!(!server.run_pending_job());
-        drop(client);
-        drop(connector);
-        listener.join().unwrap();
-    }
 }
