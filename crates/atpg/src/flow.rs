@@ -308,13 +308,14 @@ impl AtpgFlow {
             next_block += group_len;
         }
 
-        // Phase 2: PODEM on the remaining faults.
+        // Phase 2: PODEM on the remaining faults. `detected_count` keeps
+        // running, so the per-fault target check is O(1).
         let podem = Podem::new(netlist, self.config.backtrack_limit);
         let mut deterministic_patterns = 0usize;
         let mut untestable = 0usize;
         let mut aborted = 0usize;
         for (index, &fault) in faults.iter().enumerate() {
-            if detected[index] || self.coverage(&detected) >= self.config.target_coverage {
+            if detected[index] || target_met(detected_count) {
                 continue;
             }
             match podem.generate(netlist, fault) {
@@ -335,6 +336,7 @@ impl AtpgFlow {
                         std::slice::from_ref(&pattern),
                         &mut detected,
                     );
+                    detected_count += newly;
                     if newly > 0 {
                         patterns.push(pattern);
                         deterministic_patterns += 1;
@@ -345,7 +347,6 @@ impl AtpgFlow {
             }
         }
 
-        let detected_count = detected.iter().filter(|&&d| d).count();
         TestSet {
             patterns,
             fault_coverage: if faults.is_empty() {
@@ -362,13 +363,6 @@ impl AtpgFlow {
             random_patterns_simulated,
             random_sim_passes,
         }
-    }
-
-    fn coverage(&self, detected: &[bool]) -> f64 {
-        if detected.is_empty() {
-            return 1.0;
-        }
-        detected.iter().filter(|&&d| d).count() as f64 / detected.len() as f64
     }
 }
 

@@ -5,10 +5,7 @@
 //! leakage-lookup seam in isolation (scalar vs lane-parallel, ± X density),
 //! the packed propagation seam (`event_driven` group: full-sweep vs
 //! event-driven cycles, ± observer, on a high-activity traditional config
-//! and a low-activity held-PI/forced-chain config), the lane-width seam
-//! (`wide_replay` group: the same 512-pattern replay in 64-, 256- and
-//! 512-lane blocks, bare and observer-attached, plus the low-activity
-//! observer with and without LintFacts gate skipping), plus the multi-circuit
+//! and a low-activity held-PI/forced-chain config), plus the multi-circuit
 //! Table I harness at 1 worker thread vs the automatic count. All
 //! comparisons are bit-identical by construction — asserted once before
 //! timing — so the bench measures speed only. A snapshot of the measured
@@ -18,7 +15,6 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use scanpower_bench::{bench_circuit, bench_options};
 use scanpower_core::experiment::{run_table1, ExperimentOptions};
-use scanpower_lint::LintFacts;
 use scanpower_netlist::generator::CircuitFamily;
 use scanpower_power::{
     LeakageAverage, LeakageEstimator, LeakageLibrary, LeakageLookup, PackedShiftLeakage,
@@ -26,9 +22,7 @@ use scanpower_power::{
 use scanpower_sim::kernel::pack_logic_patterns;
 use scanpower_sim::patterns::random_bool_patterns;
 use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig, ShiftPhase};
-use scanpower_sim::{
-    BlockDriver, Logic, PackedScanShiftSim, PackedWord, Propagation, SimKernel, Wide256, Wide512,
-};
+use scanpower_sim::{BlockDriver, Logic, PackedScanShiftSim, PackedWord, Propagation, SimKernel};
 
 fn replay_patterns(
     circuit: &scanpower_netlist::Netlist,
@@ -229,150 +223,6 @@ fn scan_shift(c: &mut Criterion) {
                 });
             });
         }
-    }
-    group.finish();
-
-    // The lane-width seam: the same event-driven replay at 64, 256 and 512
-    // lanes per word, bare and with the leakage observer attached. 512
-    // patterns fill eight 64-lane blocks, two 256-lane blocks or one
-    // 512-lane block, so the wide rows amortise the per-block chain seed
-    // and capture carry over more patterns per kernel pass.
-    let wide_patterns = replay_patterns(&circuit, 512, 13);
-    let reference = packed.run(&circuit, &wide_patterns, &config);
-    assert_eq!(
-        packed.run_wide::<Wide256>(&circuit, &wide_patterns, &config),
-        reference,
-        "256-lane replay must be bit-identical to the 64-lane replay"
-    );
-    assert_eq!(
-        packed.run_wide::<Wide512>(&circuit, &wide_patterns, &config),
-        reference,
-        "512-lane replay must be bit-identical to the 64-lane replay"
-    );
-    let mut group = c.benchmark_group("wide_replay");
-    group.sample_size(10);
-    group.bench_function("replay_512_lanes_64", |b| {
-        b.iter(|| packed.run(black_box(&circuit), &wide_patterns, &config));
-    });
-    group.bench_function("replay_512_lanes_256", |b| {
-        b.iter(|| packed.run_wide::<Wide256>(black_box(&circuit), &wide_patterns, &config));
-    });
-    group.bench_function("replay_512_lanes_512", |b| {
-        b.iter(|| packed.run_wide::<Wide512>(black_box(&circuit), &wide_patterns, &config));
-    });
-    group.bench_function("observer_512_lanes_64", |b| {
-        b.iter(|| {
-            let mut observer = PackedShiftLeakage::new(&circuit, &estimator);
-            let stats = packed.run_cycles(
-                black_box(&circuit),
-                &wide_patterns,
-                &config,
-                Propagation::EventDriven,
-                |cycle| observer.observe_cycle(cycle),
-            );
-            (stats, observer.into_average())
-        });
-    });
-    group.bench_function("observer_512_lanes_256", |b| {
-        b.iter(|| {
-            let mut observer = PackedShiftLeakage::<Wide256>::new(&circuit, &estimator);
-            let stats = packed.run_cycles_wide::<Wide256, _>(
-                black_box(&circuit),
-                &wide_patterns,
-                &config,
-                Propagation::EventDriven,
-                |cycle| observer.observe_cycle(cycle),
-            );
-            (stats, observer.into_average())
-        });
-    });
-    group.bench_function("observer_512_lanes_512", |b| {
-        b.iter(|| {
-            let mut observer = PackedShiftLeakage::<Wide512>::new(&circuit, &estimator);
-            let stats = packed.run_cycles_wide::<Wide512, _>(
-                black_box(&circuit),
-                &wide_patterns,
-                &config,
-                Propagation::EventDriven,
-                |cycle| observer.observe_cycle(cycle),
-            );
-            (stats, observer.into_average())
-        });
-    });
-
-    // The LintFacts gate-skipping seam on the low-activity config: the
-    // ternary constant propagation freezes the cones fed by the held PIs
-    // and forced chain cells, and the observer gathers those gates once
-    // instead of every cycle. The traditional config freezes nothing
-    // (no value is held), so the skip is benched where it can act.
-    let facts = LintFacts::analyze_shift(&circuit, &low_activity);
-    println!(
-        "\nwide_replay — low-activity facts freeze {} of {} gates",
-        facts.static_gate_count(),
-        circuit.gate_count()
-    );
-    assert!(
-        facts.static_gate_count() > 0,
-        "skip must have gates to skip"
-    );
-    {
-        let mut plain = PackedShiftLeakage::new(&circuit, &estimator);
-        let plain_stats = packed.run_cycles(
-            &circuit,
-            &wide_patterns,
-            &low_activity,
-            Propagation::EventDriven,
-            |cycle| plain.observe_cycle(cycle),
-        );
-        let mut skipping = PackedShiftLeakage::with_facts(&circuit, &estimator, &facts);
-        let skip_stats = packed.run_cycles(
-            &circuit,
-            &wide_patterns,
-            &low_activity,
-            Propagation::EventDriven,
-            |cycle| skipping.observe_cycle(cycle),
-        );
-        assert_eq!(plain_stats, skip_stats);
-        let (plain, skipping) = (plain.into_average(), skipping.into_average());
-        assert_eq!(
-            plain.average_na().to_bits(),
-            skipping.average_na().to_bits(),
-            "facts skipping must be bit-identical to the plain observer"
-        );
-    }
-    for (label, with_facts) in [("", false), ("_facts_skip", true)] {
-        group.bench_function(format!("observer_low_activity_512_lanes_64{label}"), |b| {
-            b.iter(|| {
-                let mut observer = match with_facts {
-                    true => PackedShiftLeakage::with_facts(&circuit, &estimator, &facts),
-                    false => PackedShiftLeakage::new(&circuit, &estimator),
-                };
-                let stats = packed.run_cycles(
-                    black_box(&circuit),
-                    &wide_patterns,
-                    &low_activity,
-                    Propagation::EventDriven,
-                    |cycle| observer.observe_cycle(cycle),
-                );
-                (stats, observer.into_average())
-            });
-        });
-        group.bench_function(format!("observer_low_activity_512_lanes_512{label}"), |b| {
-            b.iter(|| {
-                let mut observer = match with_facts {
-                    true => PackedShiftLeakage::<Wide512>::with_facts(&circuit, &estimator, &facts),
-                    false => PackedShiftLeakage::<Wide512>::new(&circuit, &estimator),
-                };
-                let stats = packed.run_cycles_wide::<Wide512, _>(
-                    black_box(&circuit),
-                    &wide_patterns,
-                    &low_activity,
-                    Propagation::EventDriven,
-                    |cycle| observer.observe_cycle(cycle),
-                );
-                (stats, observer.into_average())
-            });
-        });
     }
     group.finish();
 

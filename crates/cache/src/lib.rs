@@ -2,11 +2,11 @@
 //!
 //! The `scanpower` workspace's experiments are deterministic functions of
 //! their inputs: the same netlist, options and seed always produce the same
-//! bytes, whatever the thread count, lane width or propagation mode. That
-//! determinism is exactly what makes results *content-addressable* — a
-//! result can be keyed by a hash of the canonical wire bytes of its inputs
-//! and replayed from storage instead of recomputed, with no risk of serving
-//! a stale or approximate answer.
+//! bytes, whatever the thread count or replay path. That determinism is
+//! exactly what makes results *content-addressable* — a result can be
+//! keyed by a hash of the canonical wire bytes of its inputs and replayed
+//! from storage instead of recomputed, with no risk of serving a stale or
+//! approximate answer.
 //!
 //! This crate provides the storage side of that contract:
 //!

@@ -2,12 +2,12 @@
 //!
 //! Every way a `run_table1`-shaped job can fail is a variant of
 //! [`ExperimentError`]: invalid inputs (netlist validation, the lint
-//! preflight, configuration), refused inputs (resource ceilings),
-//! cancellation, and supervised worker failures (an isolated panic or an
-//! injected fault). The `Display` renderings are **deterministic** — the
-//! same failure produces the same message on every run, thread count and
-//! scheduling — because failed rows are part of the partial-results report
-//! and inherit the bit-identity discipline of the surviving rows.
+//! preflight), refused inputs (resource ceilings), cancellation, and
+//! supervised worker failures (an isolated panic or an injected fault).
+//! The `Display` renderings are **deterministic** — the same failure
+//! produces the same message on every run, thread count and scheduling —
+//! because failed rows are part of the partial-results report and inherit
+//! the bit-identity discipline of the surviving rows.
 
 use std::fmt;
 
@@ -26,12 +26,6 @@ pub enum ExperimentError {
     /// The static-analysis preflight found Error-severity diagnostics; the
     /// full report is carried along.
     Lint(Box<LintReport>),
-    /// `ExperimentOptions::lane_width` is not one of the supported packed
-    /// widths (64, 256, 512).
-    UnsupportedLaneWidth(
-        /// The rejected width.
-        usize,
-    ),
     /// The circuit has no scan cells — the scan-power experiment requires
     /// a full-scan circuit.
     NoScanCells {
@@ -78,9 +72,6 @@ impl fmt::Display for ExperimentError {
                 "lint preflight rejected the circuit:\n{}",
                 report.to_text()
             ),
-            ExperimentError::UnsupportedLaneWidth(width) => {
-                write!(f, "unsupported lane_width {width}: expected 64, 256 or 512")
-            }
             ExperimentError::NoScanCells { circuit } => {
                 write!(f, "full-scan circuit required: `{circuit}` has no scan cells")
             }
@@ -138,10 +129,6 @@ mod tests {
     fn displays_are_deterministic_and_carry_the_key_substrings() {
         // The panicking wrappers forward these messages, and existing
         // `should_panic(expected = ...)` tests pin the substrings.
-        assert_eq!(
-            ExperimentError::UnsupportedLaneWidth(128).to_string(),
-            "unsupported lane_width 128: expected 64, 256 or 512"
-        );
         assert_eq!(
             ExperimentError::NoScanCells {
                 circuit: "c17".into()

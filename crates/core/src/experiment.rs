@@ -23,8 +23,7 @@ use scanpower_power::{
 use scanpower_sim::failpoint;
 use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig, ShiftPhase, ShiftStats};
 use scanpower_sim::{
-    BlockDriver, CancelFlag, Canceled, JobFailure, JobPolicy, PackedLogicWord, PackedScanShiftSim,
-    PackedWord, Propagation, Wide256, Wide512,
+    BlockDriver, CancelFlag, Canceled, JobFailure, JobPolicy, PackedScanShiftSim, Propagation,
 };
 use scanpower_wire::Wire;
 
@@ -216,48 +215,12 @@ pub struct ExperimentOptions {
     /// replay is the fast default, the scalar path is kept for
     /// cross-checking.
     pub packed_replay: bool,
-    /// Lane width of the packed replay: how many patterns one kernel pass
-    /// evaluates. `64` (the default) runs on [`PackedWord`]; `256` and
-    /// `512` opt into the wide multi-word types
-    /// ([`Wide256`]/[`Wide512`]), which amortize the per-pass overhead of
-    /// each shift cycle over more patterns. Every width produces
-    /// bit-identical results — stats, per-net toggles and the static-power
-    /// average — so the choice is purely a throughput knob. Ignored by the
-    /// scalar replay (`packed_replay = false`). Any other value makes the
-    /// replay panic.
-    pub lane_width: usize,
-    /// Propagate each packed shift cycle event-driven
-    /// ([`Propagation::EventDriven`]): only the fanout cones of the nets
-    /// that actually changed are re-evaluated, and the static-power
-    /// observer re-gathers only the gates those nets feed. `false` selects
-    /// the full-topological-sweep cross-check ([`Propagation::FullSweep`]);
-    /// both modes are bit-identical — a named CI suite step keeps the
-    /// full-sweep configuration exercised, mirroring
-    /// [`scalar_leakage_lookup`](ExperimentOptions::scalar_leakage_lookup).
-    /// Ignored by the scalar replay (`packed_replay = false`), which has
-    /// its own (scalar) event-driven engine.
-    pub event_driven: bool,
-    /// Build the static-power estimator with [`LeakageLookup::Scalar`]:
-    /// the packed observer then re-runs the scalar subset-enumeration
-    /// lookup per gate × lane instead of gathering from the precomputed
-    /// ternary tables. Both lookups are bit-identical by construction —
-    /// this flag exists purely so the cross-check configuration stays
-    /// exercised (CI runs the suite with it once per matrix entry).
-    pub scalar_leakage_lookup: bool,
     /// Run the [`scanpower_lint`] static-analysis preflight before the
     /// experiment (the default). [`CircuitExperiment::run`] then refuses —
     /// with the full lint report — any circuit carrying an Error-severity
     /// finding (undriven nets, combinational loops, over-pin-limit gates,
     /// …), instead of failing deep inside the replay kernel.
     pub lint_preflight: bool,
-    /// Let the packed replay's static-power observer skip provably-static
-    /// gates (the default): each scheme's shift configuration is analyzed
-    /// with [`LintFacts::analyze_shift`] and gates whose inputs are settled
-    /// constants contribute a precomputed value instead of a per-cycle
-    /// table gather. Bit-identical by construction (a CI-pinned agreement
-    /// suite keeps the off-configuration exercised); ignored by the scalar
-    /// replay.
-    pub lint_facts_skip: bool,
     /// Resource ceilings checked before any simulation work dispatches —
     /// see [`ResourceLimits`]. Unlimited by default.
     pub limits: ResourceLimits,
@@ -279,10 +242,9 @@ pub struct ExperimentOptions {
     /// [`CircuitExperiment::try_evaluate_scheme_stats`] does the same per
     /// scheme replay; hits return the stored bytes with the replay skipped
     /// entirely. Keys deliberately *exclude* the pure bit-identity knobs
-    /// (`threads`, `packed_replay`, `lane_width`, `event_driven`,
-    /// `scalar_leakage_lookup`, `lint_facts_skip` — every configuration the
-    /// workspace pins as byte-identical), so a warm cache serves across
-    /// thread counts and lane widths; see
+    /// (`threads` and `packed_replay`, which the workspace pins as
+    /// byte-identical), so a warm cache serves across thread counts and
+    /// both replays; see
     /// [`semantic_options_bytes`]. Cached rows are byte-identical to
     /// recomputed ones because the experiments are deterministic — the
     /// `cache_identity` CI step pins exactly that.
@@ -297,11 +259,7 @@ impl Default for ExperimentOptions {
             proposed: ProposedOptions::default(),
             threads: 0,
             packed_replay: true,
-            lane_width: 64,
-            event_driven: true,
-            scalar_leakage_lookup: false,
             lint_preflight: true,
-            lint_facts_skip: true,
             limits: ResourceLimits::default(),
             retries: 0,
             job_deadline_ms: None,
@@ -321,9 +279,8 @@ impl Default for ExperimentOptions {
 ///
 /// Excluded, with the invariant that justifies each exclusion:
 ///
-/// * `threads`, `packed_replay`, `lane_width`, `event_driven`,
-///   `scalar_leakage_lookup`, `lint_facts_skip` — the workspace's pinned
-///   bit-identity matrix: every combination produces byte-identical rows.
+/// * `threads` and `packed_replay` — the workspace's pinned bit-identity
+///   matrix: every combination produces byte-identical rows.
 /// * `lint_preflight` and `limits.max_gates` — enforced *before* the cache
 ///   lookup, so a refused circuit never reaches the cache.
 /// * `limits.max_replayed_patterns` — enforced *on* cache hits against the
@@ -358,7 +315,7 @@ fn row_cache_key(netlist_bytes: &[u8], options: &ExperimentOptions) -> CacheKey 
 
 /// The result-cache key of one scheme replay's `(SchemePower, ShiftStats)`.
 /// The replay is a deterministic function of (netlist, patterns, shift
-/// config) alone — every replay knob is bit-identity — so no options enter
+/// config) alone — the replay choice is bit-identity — so no options enter
 /// the key.
 fn scheme_cache_key(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConfig) -> CacheKey {
     let mut pattern_bytes = scanpower_wire::WireWriter::new();
@@ -391,12 +348,36 @@ impl ExperimentOptions {
     }
 }
 
+/// A slower reference path of the packed replay, selected with
+/// [`CircuitExperiment::with_reference`] by the cross-check tests.
+///
+/// The production replay runs 64-lane packed words with event-driven
+/// propagation, the lane-parallel leakage lookup and [`LintFacts`]
+/// static-gate skipping. Each variant swaps exactly one of those for the
+/// reference it is pinned against; every variant produces byte-identical
+/// rows. The choice lives on the experiment, not in [`ExperimentOptions`],
+/// so it is never wire-encoded, never enters a cache key, and a service
+/// client cannot ask for it. The scalar replay
+/// ([`ExperimentOptions::packed_replay`] off) ignores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplayReference {
+    /// Every shift cycle as a full topological pass
+    /// ([`Propagation::FullSweep`]).
+    FullSweep,
+    /// The scalar subset-enumeration leakage lookup per gate and lane
+    /// ([`LeakageLookup::Scalar`]).
+    ScalarLookup,
+    /// The static-power observer without [`LintFacts`] gate skipping.
+    NoLintFacts,
+}
+
 /// Runs the three-structure comparison for one circuit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitExperiment {
     options: ExperimentOptions,
     library: LeakageLibrary,
     dynamic: DynamicPower,
+    reference: Option<ReplayReference>,
 }
 
 impl CircuitExperiment {
@@ -407,7 +388,16 @@ impl CircuitExperiment {
             options,
             library: LeakageLibrary::cmos45(),
             dynamic: DynamicPower::new(),
+            reference: None,
         }
+    }
+
+    /// Replays every packed scheme on `reference` instead of the
+    /// production path — the cross-check hook of the agreement tests.
+    #[must_use]
+    pub fn with_reference(mut self, reference: ReplayReference) -> CircuitExperiment {
+        self.reference = Some(reference);
+        self
     }
 
     /// The options of this experiment.
@@ -416,19 +406,8 @@ impl CircuitExperiment {
         &self.options
     }
 
-    /// Measures dynamic and static scan power of one structure.
-    #[must_use]
-    pub fn evaluate_scheme(
-        &self,
-        netlist: &Netlist,
-        patterns: &[ScanPattern],
-        config: &ShiftConfig,
-    ) -> SchemePower {
-        self.evaluate_scheme_stats(netlist, patterns, config).0
-    }
-
-    /// Like [`CircuitExperiment::evaluate_scheme`], but also returns the
-    /// full per-net [`ShiftStats`] of the replay.
+    /// Measures dynamic and static scan power of one structure and returns
+    /// them with the full per-net [`ShiftStats`] of the replay.
     ///
     /// The replay runs on the packed 64-pattern simulator when
     /// [`ExperimentOptions::packed_replay`] is set (the default) and on the
@@ -437,43 +416,19 @@ impl CircuitExperiment {
     /// per-cycle lane leakages and accumulates them in the scalar pattern-
     /// major order ([`PackedShiftLeakage`]), so even the floating-point
     /// static average matches bit for bit. The packed replay propagates
-    /// each shift cycle event-driven by default
-    /// ([`ExperimentOptions::event_driven`]), re-evaluating and re-gathering
-    /// only what the cycle's changed nets reach; `event_driven = false`
-    /// selects the bit-identical full-sweep cross-check. The observer's
-    /// per-gate table lookup is lane-parallel by default;
-    /// [`ExperimentOptions::scalar_leakage_lookup`] switches it to the
-    /// (equally bit-identical) scalar enumeration for cross-checks. The
-    /// packed replay's block size follows
-    /// [`ExperimentOptions::lane_width`] (64 on [`PackedWord`], 256/512 on
-    /// the wide words — bit-identical at every width).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unsupported [`ExperimentOptions::lane_width`] — the
-    /// thin panicking wrapper over
-    /// [`CircuitExperiment::try_evaluate_scheme_stats`], which returns the
-    /// typed [`ExperimentError`] instead.
-    #[must_use]
-    pub fn evaluate_scheme_stats(
-        &self,
-        netlist: &Netlist,
-        patterns: &[ScanPattern],
-        config: &ShiftConfig,
-    ) -> (SchemePower, ShiftStats) {
-        self.try_evaluate_scheme_stats(netlist, patterns, config)
-            .unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// The fallible sibling of
-    /// [`CircuitExperiment::evaluate_scheme_stats`]: an unsupported
-    /// [`ExperimentOptions::lane_width`] comes back as
-    /// [`ExperimentError::UnsupportedLaneWidth`] instead of panicking.
+    /// each shift cycle event-driven, re-evaluating and re-gathering only
+    /// what the cycle's changed nets reach, reads leakage with the
+    /// lane-parallel table lookup and skips the gates [`LintFacts`] proves
+    /// static; [`ReplayReference`] names the bit-identical reference for
+    /// each of those choices.
     ///
     /// # Errors
     ///
-    /// Returns [`ExperimentError::UnsupportedLaneWidth`] when
-    /// [`ExperimentOptions::lane_width`] is not 64, 256 or 512.
+    /// None today: without a cancel flag the replay cannot be canceled, and
+    /// no option can make it refuse. The `Result` is the shared shape of
+    /// the per-scheme replay, whose cancellable form inside
+    /// [`CircuitExperiment::try_run_with_cancel`] returns
+    /// [`ExperimentError::Canceled`].
     pub fn try_evaluate_scheme_stats(
         &self,
         netlist: &Netlist,
@@ -485,8 +440,8 @@ impl CircuitExperiment {
 
     /// The cancellable scheme replay behind both public entry points: the
     /// packed replay polls `cancel` once per block
-    /// ([`PackedScanShiftSim::try_run_cycles_wide`]); the scalar replay
-    /// checks it once before replaying.
+    /// ([`PackedScanShiftSim::try_run_cycles`]); the scalar replay checks it
+    /// once before replaying.
     fn scheme_stats(
         &self,
         netlist: &Netlist,
@@ -499,9 +454,9 @@ impl CircuitExperiment {
         };
         // Content-addressed shortcut: the replay is a deterministic
         // function of (netlist, patterns, config), so a cached result is
-        // byte-identical to a fresh one — including across lane widths,
-        // propagation modes and lookup modes, which is why none of those
-        // knobs enter the key.
+        // byte-identical to a fresh one — including across the two replays
+        // and every reference path, which is why none of them enter the
+        // key.
         let cache_key = self.options.result_cache.get().map(|cache| {
             let key = scheme_cache_key(netlist, patterns, config);
             (cache, key)
@@ -513,57 +468,34 @@ impl CircuitExperiment {
         }
         // The scalar replay only ever calls `circuit_leakage`, which never
         // touches the ternary tables — skip the precompute there too.
-        let lookup = if self.options.scalar_leakage_lookup || !self.options.packed_replay {
-            LeakageLookup::Scalar
-        } else {
-            LeakageLookup::LaneParallel
-        };
+        let reference = self.reference;
+        let lookup =
+            if reference == Some(ReplayReference::ScalarLookup) || !self.options.packed_replay {
+                LeakageLookup::Scalar
+            } else {
+                LeakageLookup::LaneParallel
+            };
         let estimator = LeakageEstimator::with_lookup(netlist, &self.library, lookup);
         let (stats, leakage) = if self.options.packed_replay {
-            let propagation = if self.options.event_driven {
-                Propagation::EventDriven
-            } else {
+            let propagation = if reference == Some(ReplayReference::FullSweep) {
                 Propagation::FullSweep
+            } else {
+                Propagation::EventDriven
             };
             // Ternary constant propagation under this scheme's shift
             // forcing: the observer skips every gate the analysis settles.
-            let facts = if self.options.lint_facts_skip {
-                Some(LintFacts::analyze_shift(netlist, config))
+            let mut leakage = if reference == Some(ReplayReference::NoLintFacts) {
+                PackedShiftLeakage::new(netlist, &estimator)
             } else {
-                None
+                let facts = LintFacts::analyze_shift(netlist, config);
+                PackedShiftLeakage::with_facts(netlist, &estimator, &facts)
             };
-            let facts = facts.as_ref();
-            let replayed = match self.options.lane_width {
-                64 => packed_scheme_replay::<PackedWord>(
-                    netlist,
-                    patterns,
-                    config,
-                    propagation,
-                    &estimator,
-                    facts,
-                    cancel,
-                ),
-                256 => packed_scheme_replay::<Wide256>(
-                    netlist,
-                    patterns,
-                    config,
-                    propagation,
-                    &estimator,
-                    facts,
-                    cancel,
-                ),
-                512 => packed_scheme_replay::<Wide512>(
-                    netlist,
-                    patterns,
-                    config,
-                    propagation,
-                    &estimator,
-                    facts,
-                    cancel,
-                ),
-                other => return Err(ExperimentError::UnsupportedLaneWidth(other)),
-            };
-            replayed.map_err(|Canceled| canceled())?
+            let stats = PackedScanShiftSim::new(netlist)
+                .try_run_cycles(netlist, patterns, config, propagation, cancel, |cycle| {
+                    leakage.observe_cycle(cycle);
+                })
+                .map_err(|Canceled| canceled())?;
+            (stats, leakage.into_average())
         } else {
             // The scalar replay has no block seam to poll from; honour the
             // flag at scheme granularity instead.
@@ -598,9 +530,9 @@ impl CircuitExperiment {
     ///
     /// The thin panicking wrapper over [`CircuitExperiment::try_run`]: any
     /// [`ExperimentError`] — no scan cells, a lint-preflight rejection
-    /// (the panic message carries the full report), a resource ceiling, an
-    /// unsupported lane width, a netlist validation failure — panics with
-    /// the error's deterministic `Display` message.
+    /// (the panic message carries the full report), a resource ceiling, a
+    /// netlist validation failure — panics with the error's deterministic
+    /// `Display` message.
     #[must_use]
     pub fn run(&self, netlist: &Netlist) -> CircuitRow {
         self.try_run(netlist)
@@ -657,17 +589,15 @@ impl CircuitExperiment {
     /// cells, [`ExperimentError::ResourceLimit`] when a
     /// [`ResourceLimits`] ceiling refuses the circuit,
     /// [`ExperimentError::Lint`] when the preflight (on by default) finds
-    /// Error-severity diagnostics, [`ExperimentError::Netlist`] when a
-    /// transformation step fails, and
-    /// [`ExperimentError::UnsupportedLaneWidth`] for a bad
-    /// [`ExperimentOptions::lane_width`].
+    /// Error-severity diagnostics, and [`ExperimentError::Netlist`] when a
+    /// transformation step fails.
     pub fn try_run(&self, netlist: &Netlist) -> ExperimentResult<CircuitRow> {
         self.try_run_with_cancel(netlist, None)
     }
 
     /// [`CircuitExperiment::try_run`] with cooperative cancellation: the
     /// flag is polled at every scheme boundary and — in the packed replay —
-    /// at every ≤`lane_width`-pattern block boundary, wound down as a
+    /// at every ≤64-pattern block boundary, wound down as a
     /// deterministic [`ExperimentError::Canceled`].
     ///
     /// # Errors
@@ -794,32 +724,6 @@ impl CircuitExperiment {
         }
         Ok(row)
     }
-}
-
-/// Replays one scheme on the packed simulator at `W::LANES` patterns per
-/// pass, with the lane-aware static-power observer riding the per-cycle
-/// delta — the width-generic engine behind
-/// [`CircuitExperiment::evaluate_scheme_stats`]'s `lane_width` dispatch.
-/// `cancel` is polled once per block by the replay.
-fn packed_scheme_replay<W: PackedLogicWord>(
-    netlist: &Netlist,
-    patterns: &[ScanPattern],
-    config: &ShiftConfig,
-    propagation: Propagation,
-    estimator: &LeakageEstimator,
-    facts: Option<&LintFacts>,
-    cancel: Option<&CancelFlag>,
-) -> Result<(ShiftStats, LeakageAverage), Canceled> {
-    let sim = PackedScanShiftSim::new(netlist);
-    let mut leakage = match facts {
-        Some(facts) => PackedShiftLeakage::<W>::with_facts(netlist, estimator, facts),
-        None => PackedShiftLeakage::<W>::new(netlist, estimator),
-    };
-    let stats =
-        sim.try_run_cycles_wide::<W, _>(netlist, patterns, config, propagation, cancel, |cycle| {
-            leakage.observe_cycle(cycle);
-        })?;
-    Ok((stats, leakage.into_average()))
 }
 
 /// A complete Table I reproduction.
@@ -1238,13 +1142,14 @@ mod tests {
         assert!(report.average_dynamic_improvement() > 0.0);
     }
 
-    /// Digest of the row wire bytes of [`golden_rows_digest`]'s fixed run,
+    /// Digest of the row payloads of [`golden_rows_digest`]'s fixed run,
     /// computed when [`ROW_KEY_DOMAIN`] was last set.
-    const GOLDEN_ROWS_DIGEST: u128 = 0x99af_233b_c03e_dac3_df45_e9b9_914b_358e;
+    const GOLDEN_ROWS_DIGEST: u128 = 0x3e0e_d038_b80b_7c54_f1fb_8649_06ce_d613;
 
     /// A small fixed Table I run (three circuits at scale 0.1, the fast
     /// profile, seed 1) folded into one [`ContentHasher`] digest, one part
-    /// per row's wire bytes.
+    /// per row's canonical payload — the message without its `SPWR` magic
+    /// and format version, so a wire version bump alone cannot move it.
     fn golden_rows_digest(threads: usize) -> u128 {
         let specs = &CircuitFamily::table1()[..3];
         let options = ExperimentOptions {
@@ -1254,7 +1159,9 @@ mod tests {
         let report = run_table1(specs, &options, Some(0.1), 1);
         let mut hasher = scanpower_wire::ContentHasher::new();
         for row in &report.rows {
-            hasher.write_part(&row.to_wire_bytes());
+            let mut payload = scanpower_wire::WireWriter::new();
+            row.encode_into(&mut payload);
+            hasher.write_part(payload.as_bytes());
         }
         hasher.finish()
     }
@@ -1298,34 +1205,20 @@ mod tests {
         assert_eq!(packed.run(&n), scalar.run(&n));
     }
 
-    /// The full-sweep cross-check configuration (`event_driven = false`)
-    /// must reproduce the default event-driven rows bit for bit, alone and
-    /// combined with the scalar-lookup cross-check.
+    /// The full-sweep reference must reproduce the default event-driven
+    /// rows bit for bit.
     #[test]
     fn full_sweep_cross_check_produces_identical_rows() {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let reference = CircuitExperiment::new(ExperimentOptions::fast());
-        assert!(
-            reference.options().event_driven,
-            "event-driven is the default"
-        );
-        let reference = reference.run(&n);
-        for scalar_leakage_lookup in [false, true] {
-            let cross_check = CircuitExperiment::new(ExperimentOptions {
-                event_driven: false,
-                scalar_leakage_lookup,
-                ..ExperimentOptions::fast()
-            })
-            .run(&n);
-            assert_eq!(
-                cross_check, reference,
-                "scalar_leakage_lookup {scalar_leakage_lookup}"
-            );
-        }
+        let production = CircuitExperiment::new(ExperimentOptions::fast());
+        let cross_check = production
+            .clone()
+            .with_reference(ReplayReference::FullSweep);
+        assert_eq!(cross_check.run(&n), production.run(&n));
     }
 
-    /// The scalar-lookup cross-check configuration must reproduce the
-    /// default lane-parallel rows bit for bit, under either replay.
+    /// The scalar-lookup reference must reproduce the default lane-parallel
+    /// rows bit for bit, under either replay.
     #[test]
     fn scalar_leakage_lookup_produces_identical_rows() {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
@@ -1333,9 +1226,9 @@ mod tests {
         for packed_replay in [true, false] {
             let cross_check = CircuitExperiment::new(ExperimentOptions {
                 packed_replay,
-                scalar_leakage_lookup: true,
                 ..ExperimentOptions::fast()
             })
+            .with_reference(ReplayReference::ScalarLookup)
             .run(&n);
             assert_eq!(cross_check, reference, "packed_replay {packed_replay}");
         }
@@ -1362,106 +1255,68 @@ mod tests {
             ..ExperimentOptions::fast()
         });
         let config = traditional_shift_config(&n);
-        let (packed_power, packed_stats) = packed.evaluate_scheme_stats(&n, &patterns, &config);
-        let (scalar_power, scalar_stats) = scalar.evaluate_scheme_stats(&n, &patterns, &config);
+        let (packed_power, packed_stats) = packed
+            .try_evaluate_scheme_stats(&n, &patterns, &config)
+            .unwrap();
+        let (scalar_power, scalar_stats) = scalar
+            .try_evaluate_scheme_stats(&n, &patterns, &config)
+            .unwrap();
         assert_eq!(packed_stats, scalar_stats);
         assert_eq!(packed_power, scalar_power);
         assert!(packed_stats.total_toggles > 0);
     }
 
-    /// Wide lane widths must reproduce the 64-lane rows bit for bit —
-    /// stats are integers and the static average is pattern-major at every
-    /// width, so plain row equality is the right assertion.
-    #[test]
-    fn wide_lane_widths_produce_identical_rows() {
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let reference = CircuitExperiment::new(ExperimentOptions::fast());
-        assert_eq!(reference.options().lane_width, 64, "64 is the default");
-        let reference = reference.run(&n);
-        for lane_width in [256, 512] {
-            for event_driven in [true, false] {
-                let wide = CircuitExperiment::new(ExperimentOptions {
-                    lane_width,
-                    event_driven,
-                    ..ExperimentOptions::fast()
-                })
-                .run(&n);
-                assert_eq!(
-                    wide, reference,
-                    "lane_width {lane_width}, event_driven {event_driven}"
-                );
-            }
-        }
-    }
-
-    /// The facts-skipping observer configuration (`lint_facts_skip`, on by
-    /// default) must reproduce the unskipped rows bit for bit across every
-    /// lane width and both propagation modes — the CI-pinned agreement
-    /// matrix for the `LintFacts` gather skip.
+    /// The facts-skipping observer (the production replay) must reproduce
+    /// the unskipped reference rows bit for bit, under both propagation
+    /// modes — the CI-pinned agreement for the `LintFacts` gather skip.
     #[test]
     fn lint_facts_skip_produces_identical_rows() {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let defaults = CircuitExperiment::new(ExperimentOptions::fast());
+        let production = CircuitExperiment::new(ExperimentOptions::fast());
         assert!(
-            defaults.options().lint_facts_skip,
-            "skipping is the default"
-        );
-        assert!(
-            defaults.options().lint_preflight,
+            production.options().lint_preflight,
             "preflight is the default"
         );
-        let reference = CircuitExperiment::new(ExperimentOptions {
-            lint_facts_skip: false,
-            ..ExperimentOptions::fast()
-        })
-        .run(&n);
-        for lane_width in [64, 256, 512] {
-            for event_driven in [true, false] {
-                let skipping = CircuitExperiment::new(ExperimentOptions {
-                    lane_width,
-                    event_driven,
-                    ..ExperimentOptions::fast()
-                })
-                .run(&n);
-                assert_eq!(
-                    skipping, reference,
-                    "lane_width {lane_width}, event_driven {event_driven}"
-                );
-            }
-        }
+        let reference = production
+            .clone()
+            .with_reference(ReplayReference::NoLintFacts)
+            .run(&n);
+        let full_sweep = production
+            .clone()
+            .with_reference(ReplayReference::FullSweep);
+        assert_eq!(production.run(&n), reference, "event-driven");
+        assert_eq!(full_sweep.run(&n), reference, "full sweep");
     }
 
     /// The facts skip composes with the outer circuit sharding: whole
-    /// Table I reports agree bit for bit between skip on/off at every
-    /// thread count.
+    /// Table I reports at every thread count agree bit for bit with the
+    /// unskipped reference run circuit by circuit.
     #[test]
     fn lint_facts_skip_is_identical_across_thread_counts() {
         let specs = vec![
             CircuitFamily::iscas89_like("s344").unwrap(),
             CircuitFamily::iscas89_like("s382").unwrap(),
         ];
-        let reference = run_table1(
-            &specs,
-            &ExperimentOptions {
-                threads: 1,
-                lint_facts_skip: false,
-                ..ExperimentOptions::fast()
-            },
-            Some(0.3),
-            1,
-        );
+        let unskipped = CircuitExperiment::new(ExperimentOptions {
+            threads: 1,
+            ..ExperimentOptions::fast()
+        })
+        .with_reference(ReplayReference::NoLintFacts);
+        let reference: Vec<CircuitRow> = specs
+            .iter()
+            .map(|spec| unskipped.try_run(&spec.scaled(0.3).generate(1)).unwrap())
+            .collect();
         for threads in [1, 2] {
             let skipping = run_table1(
                 &specs,
                 &ExperimentOptions {
                     threads,
-                    lint_facts_skip: true,
                     ..ExperimentOptions::fast()
                 },
                 Some(0.3),
                 1,
             );
-            assert_eq!(skipping, reference, "threads {threads}");
+            assert_eq!(skipping.rows, reference, "threads {threads}");
         }
     }
 
@@ -1533,22 +1388,6 @@ mod tests {
         let g = n.add_gate(GateKind::And, &[a, b], "g");
         n.mark_output(g.output);
         let _ = CircuitExperiment::new(ExperimentOptions::fast()).run(&n);
-    }
-
-    /// The lane-width dispatch is a typed error through the fallible path;
-    /// the `unsupported_lane_width_panics` test above pins the wrapper.
-    #[test]
-    fn try_evaluate_scheme_stats_rejects_unsupported_widths() {
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let experiment = CircuitExperiment::new(ExperimentOptions {
-            lane_width: 128,
-            ..ExperimentOptions::fast()
-        });
-        let config = traditional_shift_config(&n);
-        let error = experiment
-            .try_evaluate_scheme_stats(&n, &[], &config)
-            .expect_err("128 lanes is not a supported width");
-        assert_eq!(error, ExperimentError::UnsupportedLaneWidth(128));
     }
 
     /// Resource ceilings refuse a circuit deterministically before any
@@ -1831,18 +1670,6 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "unsupported lane_width")]
-    fn unsupported_lane_width_panics() {
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let experiment = CircuitExperiment::new(ExperimentOptions {
-            lane_width: 128,
-            ..ExperimentOptions::fast()
-        });
-        let config = traditional_shift_config(&n);
-        let _ = experiment.evaluate_scheme_stats(&n, &[], &config);
-    }
-
     /// Rows served from the result cache are byte-identical to recomputed
     /// ones, and the hit counter proves the replay was actually skipped.
     #[test]
@@ -1872,9 +1699,9 @@ mod tests {
         );
     }
 
-    /// The cache key excludes the bit-identity knobs: a row computed at one
-    /// (thread count, lane width, propagation, lookup) configuration is a
-    /// warm hit at every other.
+    /// The cache key excludes the bit-identity knobs and the replay
+    /// reference: a row computed by the production replay is a warm hit for
+    /// every other replay and thread count.
     #[test]
     fn result_cache_serves_across_bit_identity_knobs() {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
@@ -1885,23 +1712,22 @@ mod tests {
         };
         let seed = CircuitExperiment::new(with_cache(ExperimentOptions::fast())).run(&n);
         let variants = [
-            ExperimentOptions {
-                lane_width: 512,
+            CircuitExperiment::new(with_cache(ExperimentOptions {
+                packed_replay: false,
                 ..ExperimentOptions::fast()
-            },
-            ExperimentOptions {
-                event_driven: false,
-                scalar_leakage_lookup: true,
-                ..ExperimentOptions::fast()
-            },
-            ExperimentOptions {
+            })),
+            CircuitExperiment::new(with_cache(ExperimentOptions::fast()))
+                .with_reference(ReplayReference::FullSweep),
+            CircuitExperiment::new(with_cache(ExperimentOptions::fast()))
+                .with_reference(ReplayReference::ScalarLookup),
+            CircuitExperiment::new(with_cache(ExperimentOptions {
                 threads: 3,
-                lint_facts_skip: false,
                 ..ExperimentOptions::fast()
-            },
+            }))
+            .with_reference(ReplayReference::NoLintFacts),
         ];
         for (index, variant) in variants.into_iter().enumerate() {
-            let row = CircuitExperiment::new(with_cache(variant)).run(&n);
+            let row = variant.run(&n);
             assert_eq!(row, seed, "variant {index}");
             assert_eq!(
                 cache.stats().hits,

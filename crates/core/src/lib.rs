@@ -53,6 +53,6 @@ pub use addmux::{AddMux, MuxPlan};
 pub use error::{ExperimentError, ExperimentResult};
 pub use justify::{Directive, Justifier, JustifyOutcome};
 pub use pattern::{ControlPattern, ControlPatternFinder, PatternStats};
-pub use proposed::{ProposedMethod, ProposedOptions, ProposedResult};
+pub use proposed::{ProposedMethod, ProposedOptions, ProposedResult, MAX_SAMPLE_BLOCKS};
 pub use structure::ScanStructure;
 pub use worklist::TransitionWorklist;

@@ -9,6 +9,11 @@ use crate::justify::Directive;
 use crate::pattern::{ControlPattern, ControlPatternFinder};
 use crate::structure::ScanStructure;
 
+/// Largest [`ProposedOptions::sampled_observability`] block count the wire
+/// decoder accepts (4096 blocks of 64 samples, the same bound as
+/// `scanpower_atpg::MAX_RANDOM_BLOCK_SIZE`).
+pub const MAX_SAMPLE_BLOCKS: usize = 1 << 12;
+
 /// Options of the proposed flow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProposedOptions {
@@ -22,13 +27,15 @@ pub struct ProposedOptions {
     /// Delay model used by `AddMUX()`.
     pub delay_model: DelayModel,
     /// Optionally restrict the MUX plan to a fraction of the muxable cells
-    /// (MUX-coverage ablation). `None` keeps every muxable cell.
+    /// (MUX-coverage ablation). `None` keeps every muxable cell. The wire
+    /// decoder accepts finite values in `[0, 1]`.
     pub mux_fraction: Option<f64>,
     /// When `Some(blocks)`, the leakage-observability forward pass estimates
     /// signal probabilities by bit-parallel Monte-Carlo over the 64-wide
     /// simulation kernel (`blocks` × 64 random states) instead of the
     /// analytic independence approximation — exact under reconvergent
-    /// fanout, at the cost of `blocks` simulation passes.
+    /// fanout, at the cost of `blocks` simulation passes. The wire decoder
+    /// accepts `1..=`[`MAX_SAMPLE_BLOCKS`].
     pub sampled_observability: Option<usize>,
     /// Seed for the randomised steps (don't-care fill, sampled
     /// observability).

@@ -12,7 +12,7 @@
 use scanpower_wire::{Wire, WireError, WireReader, WireWriter};
 
 use crate::experiment::{CircuitRow, ExperimentOptions, ResourceLimits, SchemePower};
-use crate::proposed::ProposedOptions;
+use crate::proposed::{ProposedOptions, MAX_SAMPLE_BLOCKS};
 
 impl Wire for SchemePower {
     fn encode_into(&self, writer: &mut WireWriter) {
@@ -71,6 +71,10 @@ impl Wire for ResourceLimits {
     }
 }
 
+/// Decoding rejects, with [`WireError::Invalid`], a `sampled_observability`
+/// block count outside `1..=`[`MAX_SAMPLE_BLOCKS`] and a `mux_fraction`
+/// that is not a finite value in `[0, 1]` — the submitted options a served
+/// job would otherwise abort or run out of memory on.
 impl Wire for ProposedOptions {
     fn encode_into(&self, writer: &mut WireWriter) {
         self.leakage_directed.encode_into(writer);
@@ -83,7 +87,7 @@ impl Wire for ProposedOptions {
         self.threads.encode_into(writer);
     }
     fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ProposedOptions {
+        let options = ProposedOptions {
             leakage_directed: bool::decode_from(reader)?,
             reorder_inputs: bool::decode_from(reader)?,
             ivc_samples: usize::decode_from(reader)?,
@@ -92,12 +96,29 @@ impl Wire for ProposedOptions {
             sampled_observability: Option::decode_from(reader)?,
             seed: u64::decode_from(reader)?,
             threads: usize::decode_from(reader)?,
-        })
+        };
+        if let Some(blocks) = options.sampled_observability {
+            if !(1..=MAX_SAMPLE_BLOCKS).contains(&blocks) {
+                return Err(WireError::Invalid(format!(
+                    "proposed sampled_observability {blocks} outside 1..={MAX_SAMPLE_BLOCKS}"
+                )));
+            }
+        }
+        if let Some(fraction) = options.mux_fraction {
+            // `contains` is false for NaN, and the range excludes both
+            // infinities.
+            if !(0.0..=1.0).contains(&fraction) {
+                return Err(WireError::Invalid(format!(
+                    "proposed mux_fraction {fraction} outside [0, 1]"
+                )));
+            }
+        }
+        Ok(options)
     }
 }
 
 /// Every knob is encoded, in declaration order — including the pure
-/// bit-identity knobs (`threads`, `lane_width`, …) that the result cache
+/// bit-identity knobs (`threads`, `packed_replay`) that the result cache
 /// deliberately *excludes* from its key (see
 /// [`semantic_options_bytes`](crate::experiment::semantic_options_bytes)).
 /// The [`result_cache`](ExperimentOptions::result_cache) handle is runtime
@@ -110,11 +131,7 @@ impl Wire for ExperimentOptions {
         self.proposed.encode_into(writer);
         self.threads.encode_into(writer);
         self.packed_replay.encode_into(writer);
-        self.lane_width.encode_into(writer);
-        self.event_driven.encode_into(writer);
-        self.scalar_leakage_lookup.encode_into(writer);
         self.lint_preflight.encode_into(writer);
-        self.lint_facts_skip.encode_into(writer);
         self.limits.encode_into(writer);
         self.retries.encode_into(writer);
         self.job_deadline_ms.encode_into(writer);
@@ -126,11 +143,7 @@ impl Wire for ExperimentOptions {
             proposed: ProposedOptions::decode_from(reader)?,
             threads: usize::decode_from(reader)?,
             packed_replay: bool::decode_from(reader)?,
-            lane_width: usize::decode_from(reader)?,
-            event_driven: bool::decode_from(reader)?,
-            scalar_leakage_lookup: bool::decode_from(reader)?,
             lint_preflight: bool::decode_from(reader)?,
-            lint_facts_skip: bool::decode_from(reader)?,
             limits: ResourceLimits::decode_from(reader)?,
             retries: u32::decode_from(reader)?,
             job_deadline_ms: Option::decode_from(reader)?,
@@ -191,11 +204,7 @@ mod tests {
             max_patterns: Some(17),
             threads: 5,
             packed_replay: false,
-            lane_width: 512,
-            event_driven: false,
-            scalar_leakage_lookup: true,
             lint_preflight: false,
-            lint_facts_skip: false,
             limits: ResourceLimits {
                 max_gates: Some(1000),
                 max_replayed_patterns: Some(64),
@@ -215,5 +224,48 @@ mod tests {
             decode_message::<ExperimentOptions>(&encode_message(&options)).unwrap(),
             options
         );
+    }
+
+    #[test]
+    fn proposed_options_wire_round_trips_and_rejects_unbounded_values() {
+        let largest = ProposedOptions {
+            mux_fraction: Some(1.0),
+            sampled_observability: Some(MAX_SAMPLE_BLOCKS),
+            ..ProposedOptions::default()
+        };
+        let smallest = ProposedOptions {
+            mux_fraction: Some(0.0),
+            sampled_observability: Some(1),
+            ..ProposedOptions::default()
+        };
+        for options in [ProposedOptions::default(), largest, smallest] {
+            assert_eq!(
+                ProposedOptions::from_wire_bytes(&options.to_wire_bytes()).unwrap(),
+                options
+            );
+        }
+        let invalid = [
+            (None, Some(0)),
+            (None, Some(MAX_SAMPLE_BLOCKS + 1)),
+            (None, Some(1 << 40)),
+            (Some(f64::NAN), None),
+            (Some(f64::INFINITY), None),
+            (Some(-0.5), None),
+            (Some(1.5), None),
+        ];
+        for (mux_fraction, sampled_observability) in invalid {
+            let options = ProposedOptions {
+                mux_fraction,
+                sampled_observability,
+                ..ProposedOptions::default()
+            };
+            assert!(
+                matches!(
+                    ProposedOptions::from_wire_bytes(&options.to_wire_bytes()),
+                    Err(WireError::Invalid(_))
+                ),
+                "{mux_fraction:?} / {sampled_observability:?} must be rejected"
+            );
+        }
     }
 }

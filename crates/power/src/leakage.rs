@@ -3,7 +3,7 @@ use scanpower_netlist::{GateId, GateKind, NetId, Netlist};
 use scanpower_sim::failpoint;
 use scanpower_sim::kernel;
 use scanpower_sim::scan::ShiftPhase;
-use scanpower_sim::{Logic, PackedLogicWord, PackedWord, ShiftCycle};
+use scanpower_sim::{Logic, LogicWord, PackedWord, ShiftCycle};
 
 use crate::model::{self, LeakageParams, VDD};
 
@@ -122,8 +122,7 @@ pub enum LeakageLookup {
 /// state cheaply — including partially-specified states, where unknown
 /// inputs are averaged over.
 ///
-/// For the packed lane-parallel paths ([`circuit_leakage_lanes`], 64 lanes
-/// with [`PackedWord`] or 256/512 with the wide words) the estimator
+/// For the packed 64-lane paths ([`circuit_leakage_lanes`]) the estimator
 /// additionally precomputes **ternary tables**: one entry per 2-bit-per-pin
 /// encoded input state (`00` = 0, `01` = 1, high bit set = X), holding the
 /// already-X-averaged leakage. Every entry is filled by the scalar
@@ -225,22 +224,21 @@ impl LeakageEstimator {
     /// Total leakage current (nA) of the combinational part for each of the
     /// first `lanes` circuit states of a packed simulation result (one
     /// packed word per net, as produced by
-    /// [`SimKernel`](scanpower_sim::SimKernel)`::<W>::evaluate` — 64 lanes
-    /// with [`PackedWord`], 256/512 with the wide words).
+    /// [`SimKernel`](scanpower_sim::SimKernel)`::<PackedWord>::evaluate`).
     ///
-    /// One topological simulation pass feeds up to `W::LANES` leakage
+    /// One topological simulation pass feeds up to 64 leakage
     /// evaluations — this is the lane-parallel path behind the Monte-Carlo
     /// minimum-leakage vector search and the packed scan-shift static-power
     /// observer.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes > W::LANES`.
+    /// Panics if `lanes > 64`.
     #[must_use]
-    pub fn circuit_leakage_lanes<W: PackedLogicWord>(
+    pub fn circuit_leakage_lanes(
         &self,
         netlist: &Netlist,
-        values: &[W],
+        values: &[PackedWord],
         lanes: usize,
     ) -> Vec<f64> {
         let mut totals = Vec::with_capacity(lanes);
@@ -266,15 +264,15 @@ impl LeakageEstimator {
     ///
     /// # Panics
     ///
-    /// Panics if `lanes > W::LANES`.
-    pub fn circuit_leakage_lanes_into<W: PackedLogicWord>(
+    /// Panics if `lanes > 64`.
+    pub fn circuit_leakage_lanes_into(
         &self,
         netlist: &Netlist,
-        values: &[W],
+        values: &[PackedWord],
         lanes: usize,
         totals: &mut Vec<f64>,
     ) {
-        assert!(lanes <= W::LANES, "more lanes than the word carries");
+        assert!(lanes <= 64, "more lanes than the word carries");
         totals.clear();
         totals.resize(lanes, 0.0);
         let mut contributions = vec![0.0f64; lanes];
@@ -299,21 +297,21 @@ impl LeakageEstimator {
     ///
     /// # Panics
     ///
-    /// Panics if `lanes > W::LANES` or `out` is shorter than `lanes`.
-    pub fn gate_leakage_lanes_into<W: PackedLogicWord>(
+    /// Panics if `lanes > 64` or `out` is shorter than `lanes`.
+    pub fn gate_leakage_lanes_into(
         &self,
         netlist: &Netlist,
         gate_id: GateId,
-        values: &[W],
+        values: &[PackedWord],
         lanes: usize,
         out: &mut [f64],
     ) {
-        assert!(lanes <= W::LANES, "more lanes than the word carries");
+        assert!(lanes <= 64, "more lanes than the word carries");
         // The gate, its table and its input words are loop-invariant over
         // the lanes: resolve them once per gate, not once per lane. 31 pins
         // is the workspace-wide table cap, so the gather buffer lives on
         // the stack.
-        let mut pin_words = [W::splat(Logic::X); 31];
+        let mut pin_words = [PackedWord::splat(Logic::X); 31];
         let gate = netlist.gate(gate_id);
         let fanin = gate.inputs.len();
         for (word, &input) in pin_words.iter_mut().zip(&gate.inputs) {
@@ -321,18 +319,12 @@ impl LeakageEstimator {
         }
         let pins = &pin_words[..fanin];
         if let Some(slot) = self.ternary[gate_id.index()] {
-            // One ≤64-lane bit-plane transpose per plane word; the index
-            // scratch stays on the stack at every width.
+            // One bit-plane transpose; the index scratch stays on the stack.
             let table = &self.ternary_tables[slot];
             let mut indices = [0u32; 64];
-            let mut base = 0;
-            while base < lanes {
-                let take = (lanes - base).min(64);
-                kernel::lane_state_indices_word(pins, base / 64, take, &mut indices[..take]);
-                for (slot, &index) in out[base..base + take].iter_mut().zip(&indices[..take]) {
-                    *slot = table[index as usize];
-                }
-                base += take;
+            kernel::lane_state_indices(pins, lanes, &mut indices[..lanes]);
+            for (slot, &index) in out[..lanes].iter_mut().zip(&indices[..lanes]) {
+                *slot = table[index as usize];
             }
         } else {
             let table = &self.tables[gate_id.index()];
@@ -509,7 +501,7 @@ impl LeakageAverage {
 ///
 /// When the replay supplies a changed-net delta
 /// ([`ShiftCycle::changed`]), the observer keeps a per-gate **contribution
-/// cache** (each gate's `W::LANES` per-lane leakage values from the
+/// cache** (each gate's 64 per-lane leakage values from the
 /// previous cycle) and re-gathers only the gates that read a changed net;
 /// every other gate's contribution is reused from the cache. Naïve floating-point
 /// *delta accumulation* (`row − old + new`) would change the summation
@@ -564,7 +556,7 @@ impl LeakageAverage {
 /// # Ok::<(), scanpower_netlist::NetlistError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct PackedShiftLeakage<'a, W: PackedLogicWord = PackedWord> {
+pub struct PackedShiftLeakage<'a> {
     netlist: &'a Netlist,
     estimator: &'a LeakageEstimator,
     rows: Vec<Vec<f64>>,
@@ -574,7 +566,7 @@ pub struct PackedShiftLeakage<'a, W: PackedLogicWord = PackedWord> {
     pool: Vec<Vec<f64>>,
     average: LeakageAverage,
     /// Per-gate per-lane contributions of the previously observed shift
-    /// state, `W::LANES` slots per gate (lane-major); only meaningful when
+    /// state, `LANES` slots per gate (lane-major); only meaningful when
     /// `cache_lanes` is `Some`.
     contributions: Vec<f64>,
     /// `Some(lanes)` when `contributions` matches the previous shift event
@@ -610,15 +602,16 @@ pub struct PackedShiftLeakage<'a, W: PackedLogicWord = PackedWord> {
     /// Capture flushes seen so far — the `power::observer::flush` failpoint
     /// key.
     flushes: u64,
-    /// The word type only shapes the cache stride (`W::LANES`) and the
-    /// observed slices; no word is stored.
-    marker: std::marker::PhantomData<W>,
 }
 
-impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
+/// Lanes per packed word: the contribution-cache stride of
+/// [`PackedShiftLeakage`].
+const LANES: usize = PackedWord::LANES;
+
+impl<'a> PackedShiftLeakage<'a> {
     /// Creates an empty accumulator over `estimator`'s tables.
     #[must_use]
-    pub fn new(netlist: &'a Netlist, estimator: &'a LeakageEstimator) -> PackedShiftLeakage<'a, W> {
+    pub fn new(netlist: &'a Netlist, estimator: &'a LeakageEstimator) -> PackedShiftLeakage<'a> {
         PackedShiftLeakage {
             netlist,
             estimator,
@@ -637,7 +630,6 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
             static_primed: false,
             observed: 0,
             flushes: 0,
-            marker: std::marker::PhantomData,
         }
     }
 
@@ -663,7 +655,7 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
         netlist: &'a Netlist,
         estimator: &'a LeakageEstimator,
         facts: &LintFacts,
-    ) -> PackedShiftLeakage<'a, W> {
+    ) -> PackedShiftLeakage<'a> {
         assert_eq!(
             facts.net_count(),
             netlist.net_count(),
@@ -675,10 +667,10 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
             "facts were computed for a different netlist (gate count mismatch)"
         );
         let mut observer = PackedShiftLeakage::new(netlist, estimator);
-        let splat: Vec<W> = facts
+        let splat: Vec<PackedWord> = facts
             .values()
             .iter()
-            .map(|&value| W::splat(value))
+            .map(|&value| PackedWord::splat(value))
             .collect();
         observer.static_gate = vec![false; netlist.gate_count()];
         observer.static_value = vec![0.0; netlist.gate_count()];
@@ -711,7 +703,7 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
     /// [`PackedScanShiftSim::run_cycles`](scanpower_sim::PackedScanShiftSim::run_cycles)
     /// should use [`PackedShiftLeakage::observe_cycle`], which exploits the
     /// per-cycle delta.
-    pub fn observe(&mut self, phase: ShiftPhase, values: &[W], lanes: usize) {
+    pub fn observe(&mut self, phase: ShiftPhase, values: &[PackedWord], lanes: usize) {
         self.observe_cycle(&ShiftCycle {
             phase,
             values,
@@ -726,7 +718,7 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
     /// a full lane-parallel gather otherwise — and the capture event
     /// flushes the block in the scalar pattern-major order. The resulting
     /// average is bit-identical either way.
-    pub fn observe_cycle(&mut self, cycle: &ShiftCycle<'_, W>) {
+    pub fn observe_cycle(&mut self, cycle: &ShiftCycle<'_>) {
         match cycle.phase {
             ShiftPhase::Shift => {
                 failpoint::strike("power::observer::cycle", self.observed);
@@ -772,17 +764,16 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
     /// Gathers every gate's per-lane contributions into the cache and sums
     /// the row gate by gate in netlist order — the exact accumulation of
     /// [`LeakageEstimator::circuit_leakage_lanes_into`].
-    fn full_gather(&mut self, cycle: &ShiftCycle<'_, W>, row: &mut Vec<f64>) {
+    fn full_gather(&mut self, cycle: &ShiftCycle<'_>, row: &mut Vec<f64>) {
         let gate_count = self.netlist.gate_count();
-        self.contributions.resize(gate_count * W::LANES, 0.0);
+        self.contributions.resize(gate_count * LANES, 0.0);
         for gate_id in self.netlist.gate_ids() {
-            let slot = gate_id.index() * W::LANES;
+            let slot = gate_id.index() * LANES;
             if self.static_count > 0 && self.static_gate[gate_id.index()] {
                 // A static gate's contribution never moves: fill its cache
                 // slots once, then skip its table gather forever.
                 if !self.static_primed {
-                    self.contributions[slot..slot + W::LANES]
-                        .fill(self.static_value[gate_id.index()]);
+                    self.contributions[slot..slot + LANES].fill(self.static_value[gate_id.index()]);
                 }
                 continue;
             }
@@ -791,7 +782,7 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
                 gate_id,
                 cycle.values,
                 cycle.lanes,
-                &mut self.contributions[slot..slot + W::LANES],
+                &mut self.contributions[slot..slot + LANES],
             );
         }
         self.static_primed = true;
@@ -802,7 +793,7 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
     /// Re-gathers only the gates reading a changed net, then re-sums the
     /// row in the same gate order as a full gather — identical floats,
     /// identical order, bit-identical sum.
-    fn regather_dirty(&mut self, changed: &[NetId], cycle: &ShiftCycle<'_, W>, row: &mut Vec<f64>) {
+    fn regather_dirty(&mut self, changed: &[NetId], cycle: &ShiftCycle<'_>, row: &mut Vec<f64>) {
         self.epoch += 1;
         self.dirty.clear();
         for &net in changed {
@@ -830,13 +821,13 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
             }
         }
         for &gate_index in &self.dirty {
-            let slot = gate_index as usize * W::LANES;
+            let slot = gate_index as usize * LANES;
             self.estimator.gate_leakage_lanes_into(
                 self.netlist,
                 GateId::from_index(gate_index as usize),
                 cycle.values,
                 cycle.lanes,
-                &mut self.contributions[slot..slot + W::LANES],
+                &mut self.contributions[slot..slot + LANES],
             );
         }
         self.sum_contributions(cycle.lanes, row);
@@ -849,7 +840,7 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
         row.clear();
         row.resize(lanes, 0.0);
         for gate_index in 0..self.netlist.gate_count() {
-            let slot = gate_index * W::LANES;
+            let slot = gate_index * LANES;
             for (total, &contribution) in
                 row.iter_mut().zip(&self.contributions[slot..slot + lanes])
             {
@@ -1115,77 +1106,6 @@ mod tests {
         }
     }
 
-    /// The wide (256/512-lane) observer must reproduce the scalar replay's
-    /// static-power average **bit for bit**, under both propagation modes
-    /// and both lookup modes, across a 256-lane block boundary — the wide
-    /// rung of the bit-identity ladder at the power level.
-    #[test]
-    fn wide_shift_leakage_matches_scalar_observer_bitwise() {
-        use scanpower_sim::patterns::random_bool_patterns;
-        use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
-        use scanpower_sim::{PackedScanShiftSim, Propagation, Wide256, Wide512};
-
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let library = LeakageLibrary::cmos45();
-        let pi = n.primary_inputs().len();
-        let ff = n.dff_count();
-        // 300 patterns: one full 256-lane block plus a 44-lane tail, so the
-        // wide cross-block carry is in play; also a partial 512-lane block.
-        let patterns: Vec<ScanPattern> = random_bool_patterns(pi + ff, 300, 29)
-            .into_iter()
-            .map(|bits| ScanPattern::from_bools(&bits[..pi], &bits[pi..]))
-            .collect();
-        let config = ShiftConfig::traditional(ff);
-
-        for lookup in [LeakageLookup::LaneParallel, LeakageLookup::Scalar] {
-            let estimator = LeakageEstimator::with_lookup(&n, &library, lookup);
-            let mut scalar_average = LeakageAverage::new();
-            ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
-                if phase == ShiftPhase::Shift {
-                    scalar_average.add(estimator.circuit_leakage(&n, values));
-                }
-            });
-
-            let sim = PackedScanShiftSim::new(&n);
-            for propagation in [Propagation::EventDriven, Propagation::FullSweep] {
-                let mut wide256 = PackedShiftLeakage::<Wide256>::new(&n, &estimator);
-                let _ = sim.run_cycles_wide::<Wide256, _>(
-                    &n,
-                    &patterns,
-                    &config,
-                    propagation,
-                    |cycle| {
-                        wide256.observe_cycle(cycle);
-                    },
-                );
-                let wide256 = wide256.into_average();
-                assert_eq!(wide256.samples(), scalar_average.samples());
-                assert_eq!(
-                    wide256.average_na().to_bits(),
-                    scalar_average.average_na().to_bits(),
-                    "{propagation:?} / {lookup:?}: 256-lane average must be bit-identical"
-                );
-
-                let mut wide512 = PackedShiftLeakage::<Wide512>::new(&n, &estimator);
-                let _ = sim.run_cycles_wide::<Wide512, _>(
-                    &n,
-                    &patterns,
-                    &config,
-                    propagation,
-                    |cycle| {
-                        wide512.observe_cycle(cycle);
-                    },
-                );
-                let wide512 = wide512.into_average();
-                assert_eq!(
-                    wide512.average_na().to_bits(),
-                    scalar_average.average_na().to_bits(),
-                    "{propagation:?} / {lookup:?}: 512-lane average must be bit-identical"
-                );
-            }
-        }
-    }
-
     /// The lint-facts pin limit must match the leakage model's actual pin
     /// cap (the 31-slot pin buffer of `gate_leakage_lanes_into` and the
     /// `gate_table` fanin assert); the constant is mirrored, not imported,
@@ -1197,20 +1117,20 @@ mod tests {
 
     /// A facts-carrying observer must reproduce the plain observer (and the
     /// scalar replay) **bit for bit** while actually skipping gates — on a
-    /// low-activity configuration, across 64/256/512 lanes, both propagation
-    /// modes and both lookup modes.
+    /// low-activity configuration, across both propagation modes and both
+    /// lookup modes.
     #[test]
     fn facts_skipping_observer_matches_scalar_observer_bitwise() {
         use scanpower_lint::LintFacts;
         use scanpower_sim::patterns::random_bool_patterns;
         use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
-        use scanpower_sim::{PackedScanShiftSim, Propagation, Wide256, Wide512};
+        use scanpower_sim::{PackedScanShiftSim, Propagation};
 
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let library = LeakageLibrary::cmos45();
         let pi = n.primary_inputs().len();
         let ff = n.dff_count();
-        // 300 patterns: full and partial blocks at every lane width.
+        // 300 patterns: four full 64-lane blocks and a partial one.
         let patterns: Vec<ScanPattern> = random_bool_patterns(pi + ff, 300, 41)
             .into_iter()
             .map(|bits| ScanPattern::from_bools(&bits[..pi], &bits[pi..]))
@@ -1249,38 +1169,6 @@ mod tests {
                     packed.average_na().to_bits(),
                     scalar_average.average_na().to_bits(),
                     "{propagation:?} / {lookup:?}: facts-skipping 64-lane average"
-                );
-
-                let mut wide256 = PackedShiftLeakage::<Wide256>::with_facts(&n, &estimator, &facts);
-                let _ = sim.run_cycles_wide::<Wide256, _>(
-                    &n,
-                    &patterns,
-                    &config,
-                    propagation,
-                    |cycle| {
-                        wide256.observe_cycle(cycle);
-                    },
-                );
-                assert_eq!(
-                    wide256.into_average().average_na().to_bits(),
-                    scalar_average.average_na().to_bits(),
-                    "{propagation:?} / {lookup:?}: facts-skipping 256-lane average"
-                );
-
-                let mut wide512 = PackedShiftLeakage::<Wide512>::with_facts(&n, &estimator, &facts);
-                let _ = sim.run_cycles_wide::<Wide512, _>(
-                    &n,
-                    &patterns,
-                    &config,
-                    propagation,
-                    |cycle| {
-                        wide512.observe_cycle(cycle);
-                    },
-                );
-                assert_eq!(
-                    wide512.into_average().average_na().to_bits(),
-                    scalar_average.average_na().to_bits(),
-                    "{propagation:?} / {lookup:?}: facts-skipping 512-lane average"
                 );
             }
         }
@@ -1323,51 +1211,6 @@ mod tests {
             plain.into_average().average_na().to_bits(),
             with_facts.into_average().average_na().to_bits()
         );
-    }
-
-    /// The wide lane gather (`circuit_leakage_lanes::<Wide256>`) must equal
-    /// the scalar per-lane evaluation to the bit on lanes past the first
-    /// plane word.
-    #[test]
-    fn wide_lane_leakage_matches_scalar_bitwise() {
-        use scanpower_sim::{LogicWord, SimKernel, Wide256};
-
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let library = LeakageLibrary::cmos45();
-        let estimator = LeakageEstimator::new(&n, &library);
-        let ev = Evaluator::new(&n);
-        let width = ev.inputs().len();
-
-        // 200 ternary patterns in one wide block: lanes 64.. live in the
-        // second and third plane words.
-        let patterns: Vec<Vec<Logic>> = (0..200usize)
-            .map(|index| {
-                (0..width)
-                    .map(|bit| match (index + 5 * bit) % 4 {
-                        0 => Logic::Zero,
-                        1 | 3 => Logic::One,
-                        _ => Logic::X,
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut inputs = vec![Wide256::splat(Logic::X); width];
-        for (lane, pattern) in patterns.iter().enumerate() {
-            for (word, &value) in inputs.iter_mut().zip(pattern) {
-                word.set_lane(lane, value);
-            }
-        }
-        let mut kernel = SimKernel::<Wide256>::new(&n);
-        let values = kernel.evaluate(&n, &inputs).to_vec();
-        let lanes = estimator.circuit_leakage_lanes(&n, &values, patterns.len());
-        for (lane, pattern) in patterns.iter().enumerate() {
-            let scalar = estimator.circuit_leakage(&n, &ev.evaluate(&n, pattern));
-            assert_eq!(
-                lanes[lane].to_bits(),
-                scalar.to_bits(),
-                "lane {lane}: wide gather must be bit-identical"
-            );
-        }
     }
 
     /// Randomized agreement sweep for the lane-parallel lookup: every

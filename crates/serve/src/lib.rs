@@ -18,8 +18,8 @@
 //!   cooperative [`CancelJob`](protocol::Request::CancelJob).
 //!
 //! The product guarantee: **identical submissions return bit-identical
-//! rows** — regardless of worker count, arrival order, lane width, or
-//! which transport carried them. `tests/serve.rs` pins it at the byte
+//! rows** — regardless of worker count, arrival order, or which
+//! transport carried them. `tests/serve.rs` pins it at the byte
 //! level.
 //!
 //! # Example

@@ -7,12 +7,9 @@
 //!
 //! * [`kernel`] — the [`SimKernel`]: cached topological order, input
 //!   mapping and per-net buffers, generic over [`LogicWord`] — one circuit
-//!   state per pass ([`Logic`]), sixty-four ([`PackedWord`], a two-word
-//!   three-valued bit-parallel encoding), or 256/512 ([`WideWord`], the
-//!   multi-word widening with [`Wide256`]/[`Wide512`] aliases; the
-//!   [`PackedLogicWord`] trait is the shared lane-introspection surface).
-//!   This module contains the single gate-evaluation implementation of the
-//!   workspace.
+//!   state per pass ([`Logic`]) or sixty-four ([`PackedWord`], a two-word
+//!   three-valued bit-parallel encoding). This module contains the single
+//!   gate-evaluation implementation of the workspace.
 //! * [`Logic`] — three-valued (0/1/X) logic with Kleene semantics.
 //! * [`Evaluator`] — zero-delay scalar evaluation of the combinational part
 //!   from a complete assignment of the combinational inputs.
@@ -21,16 +18,13 @@
 //!   shift cycles of a scan test.
 //! * [`scan`] — test-per-scan shift simulation ([`scan::ScanShiftSim`]) with
 //!   per-net transition counts and per-cycle state observation.
-//! * [`scan_packed`] — the packed multi-pattern scan-shift replay
+//! * [`scan_packed`] — the packed 64-pattern scan-shift replay
 //!   ([`scan_packed::PackedScanShiftSim`]): one kernel pass per shift cycle
-//!   evaluates a whole block of patterns' circuit states at once — 64 by
-//!   default, 256/512 through the generic
-//!   [`run_cycles_wide`](scan_packed::PackedScanShiftSim::run_cycles_wide)
-//!   engine — with popcount-based transition counting and a lane-aware
-//!   observer; event-driven by default ([`scan_packed::Propagation`]),
-//!   re-evaluating only the fanout cones of the nets each cycle actually
-//!   changed; bit-identical [`scan::ShiftStats`] to the scalar replay in
-//!   either mode and at every lane width.
+//!   evaluates a whole block of patterns' circuit states at once, with
+//!   popcount-based transition counting and a lane-aware observer;
+//!   event-driven by default ([`scan_packed::Propagation`]), re-evaluating
+//!   only the fanout cones of the nets each cycle actually changed;
+//!   bit-identical [`scan::ShiftStats`] to the scalar replay in either mode.
 //! * [`fault`] — 64-pattern-per-pass stuck-at fault simulation used by the
 //!   ATPG substitute.
 //! * [`parallel`] — the [`BlockDriver`]: deterministic sharding of
@@ -91,9 +85,7 @@ mod wire_impls;
 
 pub use eval::Evaluator;
 pub use incremental::IncrementalSim;
-pub use kernel::{
-    DirtyWorklist, LogicWord, PackedLogicWord, PackedWord, SimKernel, Wide256, Wide512, WideWord,
-};
+pub use kernel::{DirtyWorklist, LogicWord, PackedWord, SimKernel};
 pub use logic::Logic;
 pub use parallel::{
     BlockDriver, CancelFlag, Canceled, JobContext, JobError, JobFailure, JobPolicy,

@@ -2,12 +2,10 @@
 //!
 //! Every packed consumer in the workspace (the ATPG random phase, the
 //! minimum-leakage Monte-Carlo, the sampled observability forward pass)
-//! works in *independent* blocks of circuit states — at most
-//! [`BLOCK_LANES`] (= [`PackedWord::LANES`](crate::PackedWord)) for the
-//! 64-lane consumers, or `W::LANES` of any [`LogicWord`] through the
-//! width-generic entry points ([`BlockDriver::map_blocks_for`] and
-//! friends). Each block is one packed pass through a [`SimKernel`], and
-//! nothing a block computes depends on any other block. [`BlockDriver`]
+//! works in *independent* blocks of at most [`BLOCK_LANES`]
+//! (= [`PackedWord::LANES`](crate::PackedWord)) circuit states. Each block
+//! is one packed pass through a [`SimKernel`], and nothing a block computes
+//! depends on any other block. [`BlockDriver`]
 //! exploits that shape: it splits a job list (or a flat pattern/candidate
 //! list) into blocks, runs each block on a worker thread with its own
 //! per-thread context (typically a [`SimKernel`] clone), and hands the
@@ -54,10 +52,8 @@ use crate::kernel::LogicWord;
 /// [`catch_unwind`] isolated.
 type JobOutcome<R> = Result<R, Box<dyn Any + Send>>;
 
-/// Number of circuit states per block for the 64-lane consumers: the lane
-/// count of [`PackedWord`](crate::PackedWord). Width-generic callers use
-/// [`BlockDriver::map_blocks_for`], which takes the block size from
-/// `W::LANES` instead.
+/// Number of circuit states per block: the lane count of
+/// [`PackedWord`](crate::PackedWord).
 pub const BLOCK_LANES: usize = <crate::PackedWord as LogicWord>::LANES;
 
 /// Resolves a configured worker thread count to a concrete count.
@@ -102,7 +98,7 @@ impl std::error::Error for Canceled {}
 ///
 /// Cancellation is *polled*, never preemptive — a job checks
 /// [`CancelFlag::checkpoint`] at its natural block boundaries (the packed
-/// replay polls once per ≤`W::LANES`-pattern block) and winds down cleanly
+/// replay polls once per ≤64-pattern block) and winds down cleanly
 /// with [`Canceled`]. Determinism note: a deadline makes *whether* a job
 /// completes timing-dependent by design; everything a surviving job
 /// returns is still bit-identical. Tests that need a deterministic
@@ -425,19 +421,7 @@ impl BlockDriver {
     /// into.
     #[must_use]
     pub fn block_count(items: usize) -> usize {
-        Self::block_count_for(items, BLOCK_LANES)
-    }
-
-    /// Number of ≤`lanes`-item blocks a list of `items` splits into — the
-    /// width-generic sibling of [`BlockDriver::block_count`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    #[must_use]
-    pub fn block_count_for(items: usize, lanes: usize) -> usize {
-        assert!(lanes > 0, "a block holds at least one lane");
-        items.div_ceil(lanes)
+        items.div_ceil(BLOCK_LANES)
     }
 
     /// Runs `jobs` independent jobs and returns their results indexed by
@@ -535,19 +519,9 @@ impl BlockDriver {
     }
 
     /// Splits `items` into ≤[`BLOCK_LANES`]-item blocks and maps each block
-    /// with `run(block_index, block)`; results come back in block order.
-    /// The final block may be shorter than [`BLOCK_LANES`].
-    pub fn map_blocks<T, R, F>(&self, items: &[T], run: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        self.map_blocks_with(items, || (), |(): &mut (), block, chunk| run(block, chunk))
-    }
-
-    /// Like [`BlockDriver::map_blocks`] with a per-thread context built by
-    /// `init` (see [`BlockDriver::map_with`]).
+    /// with `run(context, block_index, block)`, using a per-thread context
+    /// built by `init` (see [`BlockDriver::map_with`]); results come back in
+    /// block order. The final block may be shorter than [`BLOCK_LANES`].
     pub fn map_blocks_with<C, T, R, I, F>(&self, items: &[T], init: I, run: F) -> Vec<R>
     where
         T: Sync,
@@ -555,103 +529,11 @@ impl BlockDriver {
         I: Fn() -> C + Sync,
         F: Fn(&mut C, usize, &[T]) -> R + Sync,
     {
-        self.map_blocks_with_lanes(BLOCK_LANES, items, init, run)
-    }
-
-    /// The block-partitioning workhorse: splits `items` into ≤`lanes`-item
-    /// blocks and maps each with `run(context, block_index, block)`,
-    /// results in block order. Every block entry point — 64-lane or
-    /// width-generic — routes through this method, so the partitioning
-    /// policy lives in exactly one place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn map_blocks_with_lanes<C, T, R, I, F>(
-        &self,
-        lanes: usize,
-        items: &[T],
-        init: I,
-        run: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> C + Sync,
-        F: Fn(&mut C, usize, &[T]) -> R + Sync,
-    {
-        let blocks = Self::block_count_for(items.len(), lanes);
-        self.map_with(blocks, init, |context, block| {
-            let start = block * lanes;
-            let end = (start + lanes).min(items.len());
+        self.map_with(Self::block_count(items.len()), init, |context, block| {
+            let start = block * BLOCK_LANES;
+            let end = (start + BLOCK_LANES).min(items.len());
             run(context, block, &items[start..end])
         })
-    }
-
-    /// Splits `items` into ≤`W::LANES`-item blocks — the word type chooses
-    /// the block size — and maps each block with `run(block_index, block)`;
-    /// results come back in block order. `map_blocks_for::<PackedWord>` is
-    /// exactly [`BlockDriver::map_blocks`]; a wide word widens the blocks
-    /// to match its replay.
-    pub fn map_blocks_for<W, T, R, F>(&self, items: &[T], run: F) -> Vec<R>
-    where
-        W: LogicWord,
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        self.map_blocks_with_lanes(
-            W::LANES,
-            items,
-            || (),
-            |(): &mut (), block, chunk| run(block, chunk),
-        )
-    }
-
-    /// Like [`BlockDriver::map_blocks_for`] with a per-thread context built
-    /// by `init` (see [`BlockDriver::map_with`]).
-    pub fn map_blocks_for_with<W, C, T, R, I, F>(&self, items: &[T], init: I, run: F) -> Vec<R>
-    where
-        W: LogicWord,
-        T: Sync,
-        R: Send,
-        I: Fn() -> C + Sync,
-        F: Fn(&mut C, usize, &[T]) -> R + Sync,
-    {
-        self.map_blocks_with_lanes(W::LANES, items, init, run)
-    }
-
-    /// Maps every ≤[`BLOCK_LANES`]-item block of `items` in parallel and
-    /// feeds the block results to `merge` **sequentially, in block order**
-    /// on the calling thread — the deterministic-reduction counterpart of
-    /// [`BlockDriver::map_blocks`].
-    pub fn for_each_block<T, R, F, M>(&self, items: &[T], run: F, merge: M)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-        M: FnMut(usize, R),
-    {
-        self.for_each_block_for::<crate::PackedWord, T, R, F, M>(items, run, merge);
-    }
-
-    /// Width-generic [`BlockDriver::for_each_block`]: blocks of `W::LANES`
-    /// items, merged sequentially in block order.
-    pub fn for_each_block_for<W, T, R, F, M>(&self, items: &[T], run: F, mut merge: M)
-    where
-        W: LogicWord,
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-        M: FnMut(usize, R),
-    {
-        for (block, result) in self
-            .map_blocks_for::<W, T, R, F>(items, run)
-            .into_iter()
-            .enumerate()
-        {
-            merge(block, result);
-        }
     }
 }
 
@@ -814,69 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn block_count_for_follows_the_lane_count() {
-        use crate::kernel::{Wide256, Wide512};
-        assert_eq!(BLOCK_LANES, 64, "BLOCK_LANES is PackedWord::LANES");
-        assert_eq!(BlockDriver::block_count_for(150, BLOCK_LANES), 3);
-        assert_eq!(BlockDriver::block_count_for(0, Wide256::LANES), 0);
-        assert_eq!(BlockDriver::block_count_for(256, Wide256::LANES), 1);
-        assert_eq!(BlockDriver::block_count_for(257, Wide256::LANES), 2);
-        assert_eq!(BlockDriver::block_count_for(1024, Wide512::LANES), 2);
-        assert_eq!(BlockDriver::block_count_for(1025, Wide512::LANES), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one lane")]
-    fn block_count_for_rejects_zero_lanes() {
-        let _ = BlockDriver::block_count_for(10, 0);
-    }
-
-    /// The width-generic partitioning: `map_blocks_for::<Wide256>` shards
-    /// into 256-item blocks with a partial tail, in block order, for every
-    /// thread count, and `map_blocks_for::<PackedWord>` is exactly
-    /// `map_blocks`.
-    #[test]
-    fn map_blocks_for_shards_by_the_word_lane_count() {
-        use crate::kernel::Wide256;
-        let items: Vec<u32> = (0..600).collect();
-        for driver in drivers() {
-            let sizes = driver.map_blocks_for::<Wide256, _, _, _>(&items, |block, chunk| {
-                assert_eq!(chunk[0], (block * Wide256::LANES) as u32);
-                chunk.len()
-            });
-            assert_eq!(sizes, vec![256, 256, 88]);
-
-            let wide_as_packed = driver
-                .map_blocks_for::<PackedWord, _, _, _>(&items, |_, chunk| {
-                    chunk.iter().sum::<u32>()
-                });
-            let narrow = driver.map_blocks(&items, |_, chunk| chunk.iter().sum::<u32>());
-            assert_eq!(wide_as_packed, narrow);
-        }
-    }
-
-    /// The width-generic sequential merge: block order, wide blocks.
-    #[test]
-    fn for_each_block_for_merges_wide_blocks_in_order() {
-        use crate::kernel::Wide256;
-        let items: Vec<u64> = (0..600).collect();
-        for driver in drivers() {
-            let mut seen = Vec::new();
-            driver.for_each_block_for::<Wide256, _, _, _, _>(
-                &items,
-                |_block, chunk| chunk.iter().sum::<u64>(),
-                |block, sum| seen.push((block, sum)),
-            );
-            let expected: Vec<(usize, u64)> = items
-                .chunks(Wide256::LANES)
-                .enumerate()
-                .map(|(block, chunk)| (block, chunk.iter().sum()))
-                .collect();
-            assert_eq!(seen, expected);
-        }
-    }
-
-    #[test]
     fn map_preserves_job_order_for_every_thread_count() {
         let reference: Vec<usize> = (0..97).map(|job| job * job).collect();
         for driver in drivers() {
@@ -889,11 +708,15 @@ mod tests {
     fn map_blocks_splits_into_64_lane_blocks_with_partial_tail() {
         let items: Vec<u32> = (0..150).collect();
         for driver in drivers() {
-            let sizes = driver.map_blocks(&items, |block, chunk| {
-                // Every block sees the right contiguous slice.
-                assert_eq!(chunk[0], (block * BLOCK_LANES) as u32);
-                chunk.len()
-            });
+            let sizes = driver.map_blocks_with(
+                &items,
+                || (),
+                |(), block, chunk| {
+                    // Every block sees the right contiguous slice.
+                    assert_eq!(chunk[0], (block * BLOCK_LANES) as u32);
+                    chunk.len()
+                },
+            );
             assert_eq!(sizes, vec![64, 64, 22]);
         }
     }
@@ -946,25 +769,6 @@ mod tests {
                 inits <= 2 * threads,
                 "threads {threads}: {inits} contexts for {jobs} jobs — init ran per job?"
             );
-        }
-    }
-
-    #[test]
-    fn for_each_block_merges_in_block_order() {
-        let items: Vec<u64> = (0..200).collect();
-        for driver in drivers() {
-            let mut seen = Vec::new();
-            driver.for_each_block(
-                &items,
-                |_block, chunk| chunk.iter().sum::<u64>(),
-                |block, sum| seen.push((block, sum)),
-            );
-            let expected: Vec<(usize, u64)> = items
-                .chunks(BLOCK_LANES)
-                .enumerate()
-                .map(|(block, chunk)| (block, chunk.iter().sum()))
-                .collect();
-            assert_eq!(seen, expected);
         }
     }
 

@@ -1,5 +1,4 @@
-//! Packed multi-pattern scan-shift replay (64 lanes by default, 256/512
-//! through the wide words).
+//! Packed 64-pattern scan-shift replay.
 //!
 //! The scalar [`ScanShiftSim`](crate::scan::ScanShiftSim) replays one test
 //! pattern at a time on the event-driven incremental simulator. Its packed
@@ -8,30 +7,21 @@
 //! pattern's scan part, so every pattern's capture state — and therefore the
 //! chain contents its successor starts shifting against — is a pure function
 //! of that one pattern. One packed pass over the
-//! [`SimKernel<W>`](crate::SimKernel) computes the capture states of a
-//! whole ≤`W::LANES`-pattern block; shifting each capture word up by one
-//! lane ([`PackedLogicWord::shifted_lanes`], a cross-plane-word carry for
-//! the wide words) then hands lane `k` the state pattern `k − 1` left
-//! behind, and the per-cycle chain ripple of the whole block proceeds in
-//! lock-step: one topological pass per shift cycle evaluates a block's
-//! worth of circuit states at once.
-//!
-//! The replay engine ([`PackedScanShiftSim::run_cycles_wide`]) is generic
-//! over any [`PackedLogicWord`] — [`PackedWord`] (64 lanes),
-//! [`Wide256`](crate::kernel::Wide256) or
-//! [`Wide512`](crate::kernel::Wide512) — and block size, cross-block
-//! carries and partial final blocks all follow `W::LANES`. The 64-lane
-//! entry points ([`PackedScanShiftSim::run`] and friends) are thin wrappers
-//! over the generic engine.
+//! [`SimKernel<PackedWord>`](crate::SimKernel) computes the capture states
+//! of a whole ≤64-pattern block; shifting each capture word up by one lane
+//! ([`PackedWord::shifted_lanes`]) then hands lane `k` the state pattern
+//! `k − 1` left behind, and the per-cycle chain ripple of the whole block
+//! proceeds in lock-step: one topological pass per shift cycle evaluates 64
+//! circuit states at once.
 //!
 //! Transition counting reduces to popcounts: two consecutive per-net words
-//! are compared with [`PackedLogicWord::count_differs`] (the lane-parallel
-//! `!=` popcount, honouring `X` semantics and summing across plane words)
-//! and the result is added to the net's toggle counter. Every counter is an
-//! integer and every lane reproduces the scalar simulator's settled values
-//! exactly, so the resulting [`ShiftStats`] are **bit-identical** to
-//! [`ScanShiftSim::run`] — at every lane width — and the agreement is
-//! pinned by tests at both the crate and the suite level.
+//! are compared with [`PackedWord::count_differs`] (the lane-parallel
+//! `!=` popcount, honouring `X` semantics) and the result is added to the
+//! net's toggle counter. Every counter is an integer and every lane
+//! reproduces the scalar simulator's settled values exactly, so the
+//! resulting [`ShiftStats`] are **bit-identical** to [`ScanShiftSim::run`],
+//! and the agreement is pinned by tests at both the crate and the suite
+//! level.
 //!
 //! On top of the lane parallelism the replay is **event-driven by default**
 //! ([`Propagation::EventDriven`]): consecutive shift cycles change only the
@@ -48,7 +38,7 @@
 use scanpower_netlist::{NetId, Netlist};
 
 use crate::failpoint;
-use crate::kernel::{DirtyWorklist, PackedLogicWord, PackedWord, SimKernel};
+use crate::kernel::{DirtyWorklist, LogicWord, PackedWord, SimKernel};
 use crate::logic::Logic;
 use crate::parallel::{CancelFlag, Canceled};
 use crate::scan::{ScanPattern, ShiftConfig, ShiftPhase, ShiftStats};
@@ -77,21 +67,20 @@ pub enum Propagation {
 
 /// One observed state of the packed scan replay, as handed to the
 /// [`PackedScanShiftSim::run_cycles`] /
-/// [`PackedScanShiftSim::run_cycles_wide`] observer.
+/// [`PackedScanShiftSim::try_run_cycles`] observer.
 ///
 /// Lane `k` of every word in [`values`](ShiftCycle::values) is the state of
 /// the block's pattern `k` at this cycle; lanes at or beyond
 /// [`lanes`](ShiftCycle::lanes) are unspecified. Events arrive cycle-major
-/// per ≤`W::LANES`-pattern block: `chain_len` [`ShiftPhase::Shift`] states
+/// per ≤64-pattern block: `chain_len` [`ShiftPhase::Shift`] states
 /// followed by exactly one [`ShiftPhase::Capture`] state, which also marks
-/// the end of the block. The word type defaults to [`PackedWord`] (64
-/// lanes) so 64-lane observers need no type annotations.
+/// the end of the block.
 #[derive(Debug, Clone, Copy)]
-pub struct ShiftCycle<'a, W: PackedLogicWord = PackedWord> {
+pub struct ShiftCycle<'a> {
     /// Which phase of the scan protocol this state belongs to.
     pub phase: ShiftPhase,
     /// One settled packed word per net, indexed by [`NetId::index`].
-    pub values: &'a [W],
+    pub values: &'a [PackedWord],
     /// Number of active lanes (patterns) in the current block.
     pub lanes: usize,
     /// The nets whose packed word differs from the **previous
@@ -106,16 +95,13 @@ pub struct ShiftCycle<'a, W: PackedLogicWord = PackedWord> {
     pub changed: Option<&'a [NetId]>,
 }
 
-/// Packed test-per-scan shift simulator: up to 64 patterns per pass
-/// through the [`PackedWord`] entry points, or `W::LANES` (256/512)
-/// through [`PackedScanShiftSim::run_wide`] /
-/// [`PackedScanShiftSim::run_cycles_wide`].
+/// Packed test-per-scan shift simulator: up to 64 patterns per pass.
 ///
 /// Produces [`ShiftStats`] bit-identical to the scalar
 /// [`ScanShiftSim`](crate::scan::ScanShiftSim) for any pattern count
 /// (including partial final blocks), any [`ShiftConfig`] (forced
 /// pseudo-inputs, PI control values, `count_capture`), patterns containing
-/// [`Logic::X`], and any lane width.
+/// [`Logic::X`].
 #[derive(Debug, Clone)]
 pub struct PackedScanShiftSim {
     pi_nets: Vec<NetId>,
@@ -237,88 +223,16 @@ impl PackedScanShiftSim {
     where
         F: FnMut(&ShiftCycle<'_>),
     {
-        self.run_cycles_wide::<PackedWord, F>(netlist, patterns, config, propagation, observer)
-    }
-
-    /// Runs the scan protocol at `W::LANES` patterns per pass with the
-    /// default [`Propagation::EventDriven`] mode — the wide-word sibling of
-    /// [`PackedScanShiftSim::run`].
-    ///
-    /// The returned [`ShiftStats`] are bit-identical to the 64-lane and
-    /// scalar replays for any pattern count and configuration; only the
-    /// number of topological passes per shift cycle changes.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scanpower_netlist::bench;
-    /// use scanpower_sim::kernel::Wide256;
-    /// use scanpower_sim::scan::{ScanPattern, ShiftConfig};
-    /// use scanpower_sim::PackedScanShiftSim;
-    ///
-    /// let circuit = bench::parse(bench::S27_BENCH, "s27")?;
-    /// let patterns = vec![
-    ///     ScanPattern::from_bools(&[true, false, true, false], &[true, false, true]),
-    ///     ScanPattern::from_bools(&[false, true, false, true], &[false, true, true]),
-    /// ];
-    /// let config = ShiftConfig::traditional(circuit.dff_count());
-    /// let sim = PackedScanShiftSim::new(&circuit);
-    /// let wide = sim.run_wide::<Wide256>(&circuit, &patterns, &config);
-    /// assert_eq!(wide, sim.run(&circuit, &patterns, &config));
-    /// # Ok::<(), scanpower_netlist::NetlistError>(())
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pattern's widths or the configuration's widths do not
-    /// match the circuit, or if the combinational part is cyclic.
-    #[must_use]
-    pub fn run_wide<W: PackedLogicWord>(
-        &self,
-        netlist: &Netlist,
-        patterns: &[ScanPattern],
-        config: &ShiftConfig,
-    ) -> ShiftStats {
-        self.run_cycles_wide::<W, _>(netlist, patterns, config, Propagation::default(), |_| {})
-    }
-
-    /// Runs the scan protocol at `W::LANES` patterns per pass with an
-    /// explicit [`Propagation`] mode, handing every visited state to
-    /// `observer` as a [`ShiftCycle<W>`] — the generic replay engine behind
-    /// every other entry point.
-    ///
-    /// Block size, cross-block capture carries and the partial final block
-    /// all follow `W::LANES`; the per-block observer flush order (lane-major
-    /// within each block) therefore equals the global pattern-major order at
-    /// **any** width, which is what keeps order-sensitive floating-point
-    /// observers bit-identical across widths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pattern's widths or the configuration's widths do not
-    /// match the circuit, or if the combinational part is cyclic.
-    pub fn run_cycles_wide<W, F>(
-        &self,
-        netlist: &Netlist,
-        patterns: &[ScanPattern],
-        config: &ShiftConfig,
-        propagation: Propagation,
-        observer: F,
-    ) -> ShiftStats
-    where
-        W: PackedLogicWord,
-        F: FnMut(&ShiftCycle<'_, W>),
-    {
-        match self.try_run_cycles_wide(netlist, patterns, config, propagation, None, observer) {
+        match self.try_run_cycles(netlist, patterns, config, propagation, None, observer) {
             Ok(stats) => stats,
             Err(Canceled) => unreachable!("a replay without a cancel flag cannot be canceled"),
         }
     }
 
     /// The cancellable replay engine behind
-    /// [`run_cycles_wide`](PackedScanShiftSim::run_cycles_wide): identical
-    /// in every respect, plus a cooperative [`CancelFlag`] polled once per
-    /// ≤`W::LANES`-pattern block.
+    /// [`run_cycles`](PackedScanShiftSim::run_cycles): identical in every
+    /// respect, plus a cooperative [`CancelFlag`] polled once per
+    /// ≤64-pattern block.
     ///
     /// Cancellation is block-granular: the replay finishes the block in
     /// flight (so the observer always sees complete blocks) and returns
@@ -339,7 +253,7 @@ impl PackedScanShiftSim {
     ///
     /// Panics if a pattern's widths or the configuration's widths do not
     /// match the circuit, or if the combinational part is cyclic.
-    pub fn try_run_cycles_wide<W, F>(
+    pub fn try_run_cycles<F>(
         &self,
         netlist: &Netlist,
         patterns: &[ScanPattern],
@@ -349,8 +263,7 @@ impl PackedScanShiftSim {
         mut observer: F,
     ) -> Result<ShiftStats, Canceled>
     where
-        W: PackedLogicWord,
-        F: FnMut(&ShiftCycle<'_, W>),
+        F: FnMut(&ShiftCycle<'_>),
     {
         let chain_len = self.pseudo_nets.len();
         let pi_count = self.pi_nets.len();
@@ -367,7 +280,7 @@ impl PackedScanShiftSim {
             );
         }
 
-        let mut kernel = SimKernel::<W>::new(netlist);
+        let mut kernel = SimKernel::<PackedWord>::new(netlist);
         let width = kernel.inputs().len();
         debug_assert_eq!(width, pi_count + chain_len);
         let net_count = netlist.net_count();
@@ -383,17 +296,17 @@ impl PackedScanShiftSim {
         // chain (the scalar simulator's initial state).
         let mut carry_chain: Vec<Logic> = vec![Logic::Zero; chain_len];
         let mut carry_prev: Vec<Logic> = {
-            let mut inputs = vec![W::splat(Logic::X); width];
+            let mut inputs = vec![PackedWord::splat(Logic::X); width];
             let initial_pi = match (&config.shift_pi_values, patterns.first()) {
                 (Some(values), _) => values.clone(),
                 (None, Some(first)) => first.pi.clone(),
                 (None, None) => vec![Logic::Zero; pi_count],
             };
             for (slot, value) in inputs[..pi_count].iter_mut().zip(&initial_pi) {
-                *slot = W::splat(*value);
+                *slot = PackedWord::splat(*value);
             }
             for (slot, forced) in inputs[pi_count..].iter_mut().zip(&config.forced_pseudo) {
-                *slot = W::splat(forced.unwrap_or(Logic::Zero));
+                *slot = PackedWord::splat(forced.unwrap_or(Logic::Zero));
             }
             kernel
                 .evaluate(netlist, &inputs)
@@ -403,12 +316,12 @@ impl PackedScanShiftSim {
         };
 
         // Per-block scratch, reused across blocks.
-        let mut prev = vec![W::splat(Logic::X); net_count];
-        let mut inputs = vec![W::splat(Logic::X); width];
-        let forced: Vec<Option<W>> = config
+        let mut prev = vec![PackedWord::splat(Logic::X); net_count];
+        let mut inputs = vec![PackedWord::splat(Logic::X); width];
+        let forced: Vec<Option<PackedWord>> = config
             .forced_pseudo
             .iter()
-            .map(|forced| forced.map(W::splat))
+            .map(|forced| forced.map(PackedWord::splat))
             .collect();
         // Event-driven scratch, reused across cycles and blocks.
         let mut worklist = kernel.make_worklist();
@@ -416,7 +329,7 @@ impl PackedScanShiftSim {
         // Replay-global kernel-pass ordinal, the `sim::replay::cycle` key.
         let mut cycle_ordinal: u64 = 0;
 
-        for (block, chunk) in patterns.chunks(W::LANES).enumerate() {
+        for (block, chunk) in patterns.chunks(PackedWord::LANES).enumerate() {
             if let Some(cancel) = cancel {
                 cancel.checkpoint()?;
             }
@@ -431,7 +344,7 @@ impl PackedScanShiftSim {
             // leaves the chain holding exactly the pattern's scan part, so
             // this one pass yields every pattern's capture state — and, via
             // the D inputs, the chain contents its successor starts from.
-            let mut capture_inputs = vec![W::splat(Logic::X); width];
+            let mut capture_inputs = vec![PackedWord::splat(Logic::X); width];
             for (lane, pattern) in chunk.iter().enumerate() {
                 for (i, &value) in pattern.pi.iter().enumerate() {
                     capture_inputs[i].set_lane(lane, value);
@@ -452,7 +365,7 @@ impl PackedScanShiftSim {
 
             // Chain start: lane k shifts against pattern k−1's captured
             // response (the D-input values of its capture state).
-            let mut chain: Vec<W> = self
+            let mut chain: Vec<PackedWord> = self
                 .d_nets
                 .iter()
                 .zip(&carry_chain)
@@ -464,12 +377,12 @@ impl PackedScanShiftSim {
             match &config.shift_pi_values {
                 Some(values) => {
                     for (slot, &value) in inputs[..pi_count].iter_mut().zip(values) {
-                        *slot = W::splat(value);
+                        *slot = PackedWord::splat(value);
                     }
                 }
                 None => {
                     for slot in inputs[..pi_count].iter_mut() {
-                        *slot = W::splat(Logic::X);
+                        *slot = PackedWord::splat(Logic::X);
                     }
                     for (lane, pattern) in chunk.iter().enumerate() {
                         for (i, &value) in pattern.pi.iter().enumerate() {
@@ -485,7 +398,7 @@ impl PackedScanShiftSim {
             for cycle in 0..chain_len {
                 failpoint::strike("sim::replay::cycle", cycle_ordinal);
                 cycle_ordinal += 1;
-                let mut incoming = W::splat(Logic::X);
+                let mut incoming = PackedWord::splat(Logic::X);
                 for (lane, pattern) in chunk.iter().enumerate() {
                     incoming.set_lane(lane, pattern.scan[chain_len - 1 - cycle]);
                 }
@@ -632,12 +545,15 @@ impl PackedScanShiftSim {
 /// the change detection of [`SimKernel::propagate_from`], so the state
 /// buffer stays exactly equal to a full sweep in every lane).
 #[allow(clippy::too_many_arguments)]
-fn seed_changed_input<W: PackedLogicWord>(
-    kernel: &SimKernel<W>,
+// Inlinable across crates: the replay calling it is generic over the
+// observer, so it is compiled in the caller's crate.
+#[inline]
+fn seed_changed_input(
+    kernel: &SimKernel<PackedWord>,
     net: NetId,
-    word: W,
+    word: PackedWord,
     lanes: usize,
-    prev: &mut [W],
+    prev: &mut [PackedWord],
     worklist: &mut DirtyWorklist,
     changed: &mut Vec<NetId>,
     toggles: &mut [u64],
@@ -715,7 +631,7 @@ mod tests {
     /// block boundary before any observer event, while `None` — and an
     /// untripped flag — replay to completion with bit-identical stats.
     #[test]
-    fn try_run_cycles_wide_polls_the_cancel_flag_at_block_boundaries() {
+    fn try_run_cycles_polls_the_cancel_flag_at_block_boundaries() {
         use crate::parallel::{CancelFlag, Canceled};
         let n = s27();
         let patterns = bool_patterns_for(&n, 150, 11);
@@ -725,7 +641,7 @@ mod tests {
         let tripped = CancelFlag::new();
         tripped.cancel();
         let mut events = 0usize;
-        let outcome = sim.try_run_cycles_wide::<PackedWord, _>(
+        let outcome = sim.try_run_cycles(
             &n,
             &patterns,
             &config,
@@ -737,7 +653,7 @@ mod tests {
         assert_eq!(events, 0, "canceled before the first block's events");
 
         let expired = CancelFlag::with_deadline(std::time::Duration::ZERO);
-        let outcome = sim.try_run_cycles_wide::<PackedWord, _>(
+        let outcome = sim.try_run_cycles(
             &n,
             &patterns,
             &config,
@@ -748,7 +664,7 @@ mod tests {
         assert_eq!(outcome, Err(Canceled));
 
         let stats = sim
-            .try_run_cycles_wide::<PackedWord, _>(
+            .try_run_cycles(
                 &n,
                 &patterns,
                 &config,
@@ -1054,216 +970,5 @@ mod tests {
         config.forced_pseudo[1] = Some(Logic::Zero);
         config.count_capture = true;
         assert_agreement(&circuit, &patterns, &config);
-    }
-
-    /// The wide replays (256 and 512 lanes) against the scalar and the
-    /// 64-lane replay: identical `ShiftStats` for pattern counts exercising
-    /// partial final wide blocks and the cross-block capture carries of
-    /// every width.
-    #[test]
-    fn wide_replay_matches_scalar_and_packed() {
-        use crate::kernel::{Wide256, Wide512};
-        let n = s27();
-        let config = ShiftConfig::traditional(n.dff_count());
-        let sim = PackedScanShiftSim::new(&n);
-        // 70: one partial wide block; 300: a full 256-lane block plus a
-        // 44-lane tail (cross-block carry at 256 lanes); 530: two 256-lane
-        // blocks plus a tail, and one 512-lane block plus a tail.
-        for count in [1usize, 70, 300, 530] {
-            let patterns = ternary_patterns_for(&n, count, 0x1000 + count as u64);
-            let scalar = ScanShiftSim::new(&n).run(&n, &patterns, &config);
-            assert_eq!(
-                sim.run(&n, &patterns, &config),
-                scalar,
-                "{count} patterns: 64 lanes"
-            );
-            assert_eq!(
-                sim.run_wide::<Wide256>(&n, &patterns, &config),
-                scalar,
-                "{count} patterns: 256 lanes"
-            );
-            assert_eq!(
-                sim.run_wide::<Wide512>(&n, &patterns, &config),
-                scalar,
-                "{count} patterns: 512 lanes"
-            );
-        }
-    }
-
-    /// The wide replay under every configuration knob: forced pseudo-inputs,
-    /// PI control values and capture counting must agree with the scalar
-    /// replay at 256 lanes just as they do at 64.
-    #[test]
-    fn wide_replay_matches_scalar_with_every_config_knob() {
-        use crate::kernel::Wide256;
-        let n = s27();
-        let patterns = ternary_patterns_for(&n, 300, 0xbeef);
-        let pi = n.primary_inputs().len();
-        for count_capture in [false, true] {
-            let mut config = ShiftConfig::traditional(n.dff_count());
-            config.count_capture = count_capture;
-            assert_eq!(
-                PackedScanShiftSim::new(&n).run_wide::<Wide256>(&n, &patterns, &config),
-                ScanShiftSim::new(&n).run(&n, &patterns, &config)
-            );
-
-            let mut config = ShiftConfig::with_pi_control(
-                n.dff_count(),
-                (0..pi).map(|i| Logic::from_bool(i % 2 == 0)).collect(),
-            );
-            config.forced_pseudo[0] = Some(Logic::One);
-            config.count_capture = count_capture;
-            assert_eq!(
-                PackedScanShiftSim::new(&n).run_wide::<Wide256>(&n, &patterns, &config),
-                ScanShiftSim::new(&n).run(&n, &patterns, &config)
-            );
-        }
-    }
-
-    /// Both propagation modes at a wide width: identical stats and
-    /// word-for-word identical observed states, exactly as the 64-lane
-    /// helper asserts.
-    fn assert_wide_propagation_agreement<W>(
-        netlist: &Netlist,
-        patterns: &[ScanPattern],
-        config: &ShiftConfig,
-    ) where
-        W: PackedLogicWord + std::fmt::Debug,
-    {
-        let sim = PackedScanShiftSim::new(netlist);
-        let mut sweep_states: Vec<(ShiftPhase, Vec<W>, usize)> = Vec::new();
-        let sweep_stats = sim.run_cycles_wide::<W, _>(
-            netlist,
-            patterns,
-            config,
-            Propagation::FullSweep,
-            |cycle| {
-                assert!(cycle.changed.is_none(), "full sweep never claims a delta");
-                sweep_states.push((cycle.phase, cycle.values.to_vec(), cycle.lanes));
-            },
-        );
-
-        let mut index = 0usize;
-        let event_stats = sim.run_cycles_wide::<W, _>(
-            netlist,
-            patterns,
-            config,
-            Propagation::EventDriven,
-            |cycle| {
-                let (phase, values, lanes) = &sweep_states[index];
-                assert_eq!(cycle.phase, *phase, "event {index}: phase");
-                assert_eq!(cycle.lanes, *lanes, "event {index}: lanes");
-                assert_eq!(cycle.values, values.as_slice(), "event {index}: values");
-                index += 1;
-            },
-        );
-        assert_eq!(index, sweep_states.len(), "event count");
-        assert_eq!(event_stats, sweep_stats);
-        assert_eq!(
-            event_stats,
-            ScanShiftSim::new(netlist).run(netlist, patterns, config)
-        );
-    }
-
-    /// Event-driven and full-sweep agree at 256 and 512 lanes, with
-    /// cross-block carries and a forced cell in play.
-    #[test]
-    fn wide_propagation_modes_agree() {
-        use crate::kernel::{Wide256, Wide512};
-        let n = s27();
-        let patterns = ternary_patterns_for(&n, 300, 0xfeed);
-        let mut config = ShiftConfig::traditional(n.dff_count());
-        config.forced_pseudo[1] = Some(Logic::One);
-        config.count_capture = true;
-        assert_wide_propagation_agreement::<Wide256>(&n, &patterns, &config);
-        assert_wide_propagation_agreement::<Wide512>(&n, &patterns, &config);
-    }
-
-    /// Lane `k` of every wide observer event must be the scalar observer's
-    /// state for pattern `k` at the same cycle — the wide sibling of
-    /// `observer_lane_states_match_scalar_states`, over a block boundary.
-    #[test]
-    fn wide_observer_lane_states_match_scalar_states() {
-        use crate::kernel::Wide256;
-        let n = s27();
-        let patterns = bool_patterns_for(&n, 300, 17);
-        let config = ShiftConfig::traditional(n.dff_count());
-        let chain_len = n.dff_count();
-
-        let mut scalar_states: Vec<(ShiftPhase, Vec<Logic>)> = Vec::new();
-        ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
-            scalar_states.push((phase, values.to_vec()));
-        });
-
-        let per_pattern = chain_len + 1;
-        let mut block_start_pattern = 0usize;
-        let mut cycle_in_block = 0usize;
-        let mut captures = 0usize;
-        let netlist = &n;
-        PackedScanShiftSim::new(netlist).run_cycles_wide::<Wide256, _>(
-            netlist,
-            &patterns,
-            &config,
-            Propagation::default(),
-            |cycle| {
-                for lane in 0..cycle.lanes {
-                    let pattern = block_start_pattern + lane;
-                    let index = pattern * per_pattern
-                        + match cycle.phase {
-                            ShiftPhase::Shift => cycle_in_block,
-                            ShiftPhase::Capture => chain_len,
-                        };
-                    let (scalar_phase, scalar_values) = &scalar_states[index];
-                    assert_eq!(cycle.phase, *scalar_phase);
-                    for net in netlist.net_ids() {
-                        assert_eq!(
-                            cycle.values[net.index()].lane(lane),
-                            scalar_values[net.index()],
-                            "pattern {pattern} net {}",
-                            netlist.net(net).name
-                        );
-                    }
-                }
-                match cycle.phase {
-                    ShiftPhase::Shift => cycle_in_block += 1,
-                    ShiftPhase::Capture => {
-                        captures += 1;
-                        block_start_pattern += cycle.lanes;
-                        cycle_in_block = 0;
-                    }
-                }
-            },
-        );
-        assert_eq!(
-            captures,
-            patterns.len().div_ceil(256),
-            "one capture per 256-lane block"
-        );
-    }
-
-    /// The wide replay on a generated circuit, both widths, against the
-    /// scalar replay.
-    #[test]
-    fn wide_replay_matches_scalar_on_a_generated_circuit() {
-        use crate::kernel::{Wide256, Wide512};
-        use scanpower_netlist::generator::CircuitFamily;
-        let circuit = CircuitFamily::iscas89_like("s344")
-            .unwrap()
-            .scaled(0.4)
-            .generate(2);
-        let patterns = ternary_patterns_for(&circuit, 80, 31);
-        let mut config = ShiftConfig::traditional(circuit.dff_count());
-        config.forced_pseudo[1] = Some(Logic::Zero);
-        config.count_capture = true;
-        let scalar = ScanShiftSim::new(&circuit).run(&circuit, &patterns, &config);
-        let sim = PackedScanShiftSim::new(&circuit);
-        assert_eq!(
-            sim.run_wide::<Wide256>(&circuit, &patterns, &config),
-            scalar
-        );
-        assert_eq!(
-            sim.run_wide::<Wide512>(&circuit, &patterns, &config),
-            scalar
-        );
     }
 }

@@ -9,7 +9,7 @@ pub const WIRE_MAGIC: [u8; 4] = *b"SPWR";
 /// canonical byte layout changes; decoders refuse other versions with
 /// [`WireError::UnsupportedVersion`], which is also what invalidates
 /// content-addressed caches across incompatible builds.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// A type with a canonical, versioned binary encoding.
 ///

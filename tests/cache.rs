@@ -1,6 +1,6 @@
 //! Identity and observability tests for the content-addressed result
 //! cache: cached runs must be **bit-identical** to uncached ones — across
-//! thread counts and lane widths, warm or cold, memory or disk tier — and
+//! thread counts and both replays, warm or cold, memory or disk tier — and
 //! the cache's counters must prove that warm runs skipped the replay
 //! rather than recomputing. The named `cache_identity` CI step runs exactly
 //! this file.
@@ -26,12 +26,12 @@ const SEED: u64 = 1;
 
 fn options(
     threads: usize,
-    lane_width: usize,
+    packed_replay: bool,
     cache: Option<&Arc<ResultCache>>,
 ) -> ExperimentOptions {
     ExperimentOptions {
         threads,
-        lane_width,
+        packed_replay,
         result_cache: match cache {
             Some(cache) => ResultCacheHandle::new(Arc::clone(cache)),
             None => ResultCacheHandle::disabled(),
@@ -41,35 +41,35 @@ fn options(
 }
 
 /// The `cache_identity` matrix: cache-on and cache-off produce bit-identical
-/// `Table1Outcome`s at every thread count {1, 3, auto} × lane width
-/// {64, 512}, with ONE cache shared across the whole matrix — after the
+/// `Table1Outcome`s at every thread count {1, 3, auto} × replay {packed,
+/// scalar}, with ONE cache shared across the whole matrix — after the
 /// first cached run fills it, every later cell is served from entries
 /// computed under a different configuration.
 #[test]
-fn cache_identity_across_thread_counts_and_lane_widths() {
+fn cache_identity_across_thread_counts_and_replays() {
     let specs = specs();
-    let reference = run_table1_partial(&specs, &options(1, 64, None), SCALE, SEED);
+    let reference = run_table1_partial(&specs, &options(1, true, None), SCALE, SEED);
     assert!(reference.is_complete());
 
     let cache = Arc::new(ResultCache::in_memory());
     let mut cached_runs = 0u64;
     for threads in [1usize, 3, 0] {
-        for lane_width in [64usize, 512] {
+        for packed_replay in [true, false] {
             let uncached =
-                run_table1_partial(&specs, &options(threads, lane_width, None), SCALE, SEED);
+                run_table1_partial(&specs, &options(threads, packed_replay, None), SCALE, SEED);
             assert_eq!(
                 uncached, reference,
-                "uncached, threads {threads}, lanes {lane_width}"
+                "uncached, threads {threads}, packed {packed_replay}"
             );
             let cached = run_table1_partial(
                 &specs,
-                &options(threads, lane_width, Some(&cache)),
+                &options(threads, packed_replay, Some(&cache)),
                 SCALE,
                 SEED,
             );
             assert_eq!(
                 cached, reference,
-                "cached, threads {threads}, lanes {lane_width}"
+                "cached, threads {threads}, packed {packed_replay}"
             );
             cached_runs += 1;
         }
@@ -85,7 +85,7 @@ fn cache_identity_across_thread_counts_and_lane_widths() {
     );
     let first_run_insertions = stats.insertions;
     assert!(first_run_insertions > 0);
-    let again = run_table1_partial(&specs, &options(0, 512, Some(&cache)), SCALE, SEED);
+    let again = run_table1_partial(&specs, &options(0, false, Some(&cache)), SCALE, SEED);
     assert_eq!(again, reference);
     assert_eq!(
         cache.stats().insertions,
@@ -101,7 +101,7 @@ fn cache_identity_across_thread_counts_and_lane_widths() {
 fn warm_rerun_is_served_entirely_from_the_cache() {
     let specs = specs();
     let cache = Arc::new(ResultCache::in_memory());
-    let opts = options(1, 64, Some(&cache));
+    let opts = options(1, true, Some(&cache));
 
     let cold = run_table1(&specs, &opts, SCALE, SEED);
     let after_cold: CacheStats = cache.stats();
@@ -133,10 +133,10 @@ fn disk_tier_serves_a_fresh_cache_instance() {
     let specs = specs();
 
     let first = Arc::new(ResultCache::with_disk(&dir));
-    let cold = run_table1(&specs, &options(1, 64, Some(&first)), SCALE, SEED);
+    let cold = run_table1(&specs, &options(1, true, Some(&first)), SCALE, SEED);
 
     let second = Arc::new(ResultCache::with_disk(&dir));
-    let warm = run_table1(&specs, &options(3, 512, Some(&second)), SCALE, SEED);
+    let warm = run_table1(&specs, &options(3, false, Some(&second)), SCALE, SEED);
     assert_eq!(warm, cold, "disk-served rows are byte-identical");
     let stats = second.stats();
     assert_eq!(
@@ -167,7 +167,7 @@ fn cache_respects_partial_failure_slots() {
             max_gates: Some(ceiling),
             ..Default::default()
         },
-        ..options(1, 64, cache)
+        ..options(1, true, cache)
     };
     let reference: Table1Outcome = run_table1_partial(&specs, &limited(None), SCALE, SEED);
     assert!(!reference.is_complete());
@@ -175,7 +175,7 @@ fn cache_respects_partial_failure_slots() {
     let cache = Arc::new(ResultCache::in_memory());
     // Warm the cache with an unlimited run first — the oversized circuit's
     // row is now cached, and must STILL be refused under the ceiling.
-    let _ = run_table1(&specs, &options(1, 64, Some(&cache)), SCALE, SEED);
+    let _ = run_table1(&specs, &options(1, true, Some(&cache)), SCALE, SEED);
     let cached = run_table1_partial(&specs, &limited(Some(&cache)), SCALE, SEED);
     assert_eq!(cached, reference, "ceilings hold even against a warm cache");
 }

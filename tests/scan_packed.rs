@@ -7,19 +7,23 @@
 //! equality — on real ATPG pattern sets, on ternary (X-carrying) pattern
 //! sets with partial final blocks, under forced pseudo-inputs, PI control
 //! values and `count_capture`, and for the whole `run_table1` report across
-//! thread counts {1, 2, 3, 8, auto}.
+//! thread counts {1, 2, 3, 8, auto}. The reference replay paths
+//! (`ReplayReference`) are pinned the same way against the production
+//! replay.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use scanpower_suite::atpg::{AtpgConfig, AtpgFlow};
 use scanpower_suite::core::baseline::{traditional_shift_config, InputControlBaseline};
-use scanpower_suite::core::experiment::{run_table1, CircuitExperiment, ExperimentOptions};
+use scanpower_suite::core::experiment::{
+    run_table1, CircuitExperiment, CircuitRow, ExperimentOptions, ReplayReference,
+};
 use scanpower_suite::core::ProposedMethod;
 use scanpower_suite::netlist::generator::CircuitFamily;
 use scanpower_suite::netlist::Netlist;
 use scanpower_suite::sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
-use scanpower_suite::sim::{Logic, PackedScanShiftSim, Wide256, Wide512};
+use scanpower_suite::sim::{Logic, PackedScanShiftSim};
 
 fn generated_circuit() -> Netlist {
     CircuitFamily::iscas89_like("s344")
@@ -51,6 +55,50 @@ fn ternary_patterns(netlist: &Netlist, count: usize, seed: u64) -> Vec<ScanPatte
             }
         })
         .collect()
+}
+
+/// The two small Table I circuits the table-level cross-checks run, at
+/// scale 0.3 and netlist seed 2.
+fn cross_check_specs() -> Vec<CircuitFamily> {
+    vec![
+        CircuitFamily::iscas89_like("s344").unwrap(),
+        CircuitFamily::iscas89_like("s382").unwrap(),
+    ]
+}
+
+/// One row per [`cross_check_specs`] circuit, each replayed on `reference`
+/// through `CircuitExperiment::try_run`.
+fn reference_rows(reference: ReplayReference) -> Vec<CircuitRow> {
+    let experiment = CircuitExperiment::new(ExperimentOptions::fast()).with_reference(reference);
+    cross_check_specs()
+        .iter()
+        .map(|spec| experiment.try_run(&spec.scaled(0.3).generate(2)).unwrap())
+        .collect()
+}
+
+/// The production replay's per-scheme result next to `reference`'s, on the
+/// traditional structure of `circuit`.
+fn assert_scheme_agreement(
+    circuit: &Netlist,
+    patterns: &[ScanPattern],
+    reference: ReplayReference,
+) {
+    let config = traditional_shift_config(circuit);
+    let production = CircuitExperiment::new(ExperimentOptions::fast());
+    let cross_check = production.clone().with_reference(reference);
+    let (production_power, production_stats) = production
+        .try_evaluate_scheme_stats(circuit, patterns, &config)
+        .unwrap();
+    let (cross_power, cross_stats) = cross_check
+        .try_evaluate_scheme_stats(circuit, patterns, &config)
+        .unwrap();
+    assert_eq!(cross_stats, production_stats, "{reference:?}");
+    assert_eq!(
+        cross_power.static_uw.to_bits(),
+        production_power.static_uw.to_bits(),
+        "{reference:?} must match the production replay bit for bit"
+    );
+    assert_eq!(cross_power, production_power, "{reference:?}");
 }
 
 fn assert_replay_agreement(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConfig) {
@@ -134,8 +182,12 @@ fn experiment_scheme_evaluation_is_bit_identical_between_replays() {
         ..ExperimentOptions::fast()
     });
     let config = traditional_shift_config(&circuit);
-    let (packed_power, packed_stats) = packed.evaluate_scheme_stats(&circuit, &patterns, &config);
-    let (scalar_power, scalar_stats) = scalar.evaluate_scheme_stats(&circuit, &patterns, &config);
+    let (packed_power, packed_stats) = packed
+        .try_evaluate_scheme_stats(&circuit, &patterns, &config)
+        .unwrap();
+    let (scalar_power, scalar_stats) = scalar
+        .try_evaluate_scheme_stats(&circuit, &patterns, &config)
+        .unwrap();
     assert_eq!(packed_stats, scalar_stats);
     assert_eq!(packed_power, scalar_power);
     assert_eq!(
@@ -145,202 +197,52 @@ fn experiment_scheme_evaluation_is_bit_identical_between_replays() {
     );
 }
 
-/// The scalar-lookup cross-check configuration
-/// (`ExperimentOptions::scalar_leakage_lookup`): replaying with the
-/// per-gate-per-lane subset-enumeration lookup must reproduce the default
-/// lane-parallel ternary-table gather bit for bit — `SchemePower`,
-/// `ShiftStats` and the full multi-circuit report. CI runs this test by
-/// name so the fallback path cannot rot.
+/// The scalar-lookup reference (`ReplayReference::ScalarLookup`):
+/// replaying with the per-gate-per-lane subset-enumeration lookup must
+/// reproduce the production lane-parallel ternary-table gather bit for bit
+/// — `SchemePower`, `ShiftStats` and every row of the multi-circuit report.
+/// CI runs this test by name so the fallback path cannot rot.
 #[test]
 fn scalar_leakage_lookup_cross_check_is_bit_identical() {
     let circuit = generated_circuit();
     let patterns = ternary_patterns(&circuit, 70, 0xcafe);
-    let config = traditional_shift_config(&circuit);
-    let reference = CircuitExperiment::new(ExperimentOptions::fast());
-    let cross_check = CircuitExperiment::new(ExperimentOptions {
-        scalar_leakage_lookup: true,
-        ..ExperimentOptions::fast()
-    });
-    let (reference_power, reference_stats) =
-        reference.evaluate_scheme_stats(&circuit, &patterns, &config);
-    let (cross_power, cross_stats) =
-        cross_check.evaluate_scheme_stats(&circuit, &patterns, &config);
-    assert_eq!(cross_stats, reference_stats);
-    assert_eq!(
-        cross_power.static_uw.to_bits(),
-        reference_power.static_uw.to_bits(),
-        "scalar lookup must match the lane-parallel gather bit for bit"
-    );
-    assert_eq!(cross_power, reference_power);
+    assert_scheme_agreement(&circuit, &patterns, ReplayReference::ScalarLookup);
 
-    let specs = vec![
-        CircuitFamily::iscas89_like("s344").unwrap(),
-        CircuitFamily::iscas89_like("s382").unwrap(),
-    ];
-    let fast = run_table1(&specs, &ExperimentOptions::fast(), Some(0.3), 2);
-    let slow = run_table1(
-        &specs,
-        &ExperimentOptions {
-            scalar_leakage_lookup: true,
-            ..ExperimentOptions::fast()
-        },
+    let production = run_table1(
+        &cross_check_specs(),
+        &ExperimentOptions::fast(),
         Some(0.3),
         2,
     );
-    assert_eq!(slow, fast, "report must not depend on the lookup mode");
+    assert_eq!(
+        reference_rows(ReplayReference::ScalarLookup),
+        production.rows,
+        "rows must not depend on the lookup mode"
+    );
 }
 
-/// The full-sweep propagation cross-check
-/// (`ExperimentOptions::event_driven = false`): replaying every shift cycle
-/// as a full topological pass must reproduce the default event-driven
-/// replay bit for bit — `SchemePower`, `ShiftStats` and the full
-/// multi-circuit report across thread counts. CI runs this test by name so
-/// the full-sweep path cannot rot.
+/// The full-sweep propagation reference (`ReplayReference::FullSweep`):
+/// replaying every shift cycle as a full topological pass must reproduce
+/// the production event-driven replay bit for bit — `SchemePower`,
+/// `ShiftStats` and every row of the multi-circuit report. CI runs this
+/// test by name so the full-sweep path cannot rot.
 #[test]
 fn full_sweep_propagation_cross_check_is_bit_identical() {
     let circuit = generated_circuit();
     let patterns = ternary_patterns(&circuit, 70, 0xeef);
-    let config = traditional_shift_config(&circuit);
-    let reference = CircuitExperiment::new(ExperimentOptions::fast());
-    assert!(
-        reference.options().event_driven,
-        "event-driven is the default"
+    assert_scheme_agreement(&circuit, &patterns, ReplayReference::FullSweep);
+
+    let production = run_table1(
+        &cross_check_specs(),
+        &ExperimentOptions::fast(),
+        Some(0.3),
+        2,
     );
-    let cross_check = CircuitExperiment::new(ExperimentOptions {
-        event_driven: false,
-        ..ExperimentOptions::fast()
-    });
-    let (reference_power, reference_stats) =
-        reference.evaluate_scheme_stats(&circuit, &patterns, &config);
-    let (cross_power, cross_stats) =
-        cross_check.evaluate_scheme_stats(&circuit, &patterns, &config);
-    assert_eq!(cross_stats, reference_stats);
     assert_eq!(
-        cross_power.static_uw.to_bits(),
-        reference_power.static_uw.to_bits(),
-        "full sweep must match the event-driven replay bit for bit"
+        reference_rows(ReplayReference::FullSweep),
+        production.rows,
+        "rows must not depend on the propagation mode"
     );
-    assert_eq!(cross_power, reference_power);
-
-    let specs = vec![
-        CircuitFamily::iscas89_like("s344").unwrap(),
-        CircuitFamily::iscas89_like("s382").unwrap(),
-    ];
-    let event_driven = run_table1(&specs, &ExperimentOptions::fast(), Some(0.3), 2);
-    for threads in [1, 3] {
-        let full_sweep = run_table1(
-            &specs,
-            &ExperimentOptions {
-                event_driven: false,
-                threads,
-                ..ExperimentOptions::fast()
-            },
-            Some(0.3),
-            2,
-        );
-        assert_eq!(
-            full_sweep, event_driven,
-            "threads {threads}: report must not depend on the propagation mode"
-        );
-    }
-}
-
-/// The wide replay at the sim level: 256- and 512-lane blocks reproduce
-/// the 64-lane and scalar `ShiftStats` exactly — on X-carrying pattern
-/// sets long enough to exercise cross-block capture carries at every
-/// width (300 patterns: partial final block at 64, 256 and 512 lanes),
-/// under PI control values, forced pseudo-inputs and `count_capture`.
-/// CI runs the `wide_kernel` tests by name so the wide path cannot rot.
-#[test]
-fn wide_kernel_replay_is_bit_identical_across_lane_widths() {
-    let circuit = generated_circuit();
-    let ff = circuit.dff_count();
-    let pi = circuit.primary_inputs().len();
-    let patterns = ternary_patterns(&circuit, 300, 0x71de);
-    assert_eq!(patterns.len() % 256, 44, "partial final wide block");
-
-    let mut configs = vec![ShiftConfig::traditional(ff)];
-    let mut knobs =
-        ShiftConfig::with_pi_control(ff, (0..pi).map(|i| Logic::from_bool(i % 3 == 0)).collect());
-    for (cell, forced) in knobs.forced_pseudo.iter_mut().enumerate() {
-        *forced = match cell % 3 {
-            0 => Some(Logic::Zero),
-            1 => Some(Logic::One),
-            _ => None,
-        };
-    }
-    knobs.count_capture = true;
-    configs.push(knobs);
-
-    for config in &configs {
-        let scalar = ScanShiftSim::new(&circuit).run(&circuit, &patterns, config);
-        let sim = PackedScanShiftSim::new(&circuit);
-        let packed = sim.run(&circuit, &patterns, config);
-        let wide256 = sim.run_wide::<Wide256>(&circuit, &patterns, config);
-        let wide512 = sim.run_wide::<Wide512>(&circuit, &patterns, config);
-        assert_eq!(packed, scalar);
-        assert_eq!(wide256, scalar, "256 lanes");
-        assert_eq!(wide512, scalar, "512 lanes");
-    }
-}
-
-/// The wide replay at the experiment level: `lane_width` 256/512 rows —
-/// replay plus lane-aware leakage observer — match the default 64-lane
-/// rows bit for bit in both propagation modes, and the full Table I
-/// report is width-independent across thread counts {1, 3, auto}.
-#[test]
-fn wide_kernel_experiment_is_bit_identical_across_lane_widths() {
-    let circuit = generated_circuit();
-    let patterns = ternary_patterns(&circuit, 300, 0xd1de);
-    let config = traditional_shift_config(&circuit);
-    let reference = CircuitExperiment::new(ExperimentOptions::fast());
-    assert_eq!(reference.options().lane_width, 64, "64 is the default");
-    let (reference_power, reference_stats) =
-        reference.evaluate_scheme_stats(&circuit, &patterns, &config);
-
-    for lane_width in [256, 512] {
-        for event_driven in [true, false] {
-            let wide = CircuitExperiment::new(ExperimentOptions {
-                lane_width,
-                event_driven,
-                ..ExperimentOptions::fast()
-            });
-            let (wide_power, wide_stats) = wide.evaluate_scheme_stats(&circuit, &patterns, &config);
-            assert_eq!(
-                wide_stats, reference_stats,
-                "lane_width {lane_width}, event_driven {event_driven}"
-            );
-            assert_eq!(
-                wide_power.static_uw.to_bits(),
-                reference_power.static_uw.to_bits(),
-                "lane_width {lane_width}, event_driven {event_driven}: \
-                 static average must match bit for bit"
-            );
-            assert_eq!(wide_power, reference_power);
-        }
-    }
-
-    let specs = vec![
-        CircuitFamily::iscas89_like("s344").unwrap(),
-        CircuitFamily::iscas89_like("s382").unwrap(),
-    ];
-    let narrow = run_table1(&specs, &ExperimentOptions::fast(), Some(0.3), 2);
-    for threads in [1, 3, 0] {
-        let wide = run_table1(
-            &specs,
-            &ExperimentOptions {
-                lane_width: 256,
-                threads,
-                ..ExperimentOptions::fast()
-            },
-            Some(0.3),
-            2,
-        );
-        assert_eq!(
-            wide, narrow,
-            "threads {threads}: report must not depend on the lane width"
-        );
-    }
 }
 
 /// The full multi-circuit harness: one circuit per driver job, merged in

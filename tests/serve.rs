@@ -2,7 +2,7 @@
 //!
 //! The product guarantee under test: **identical submissions return
 //! bit-identical rows** — regardless of the harness worker count, the
-//! order circuits arrive in, the packed lane width, which transport
+//! order circuits arrive in, the packed or scalar replay, which transport
 //! carried the frames, or whether the rows were recomputed or served from
 //! the shared result cache. Pinning happens at the **byte** level on the
 //! `RowReady` response payloads, not on decoded values.
@@ -49,10 +49,10 @@ fn sources(order: &[usize]) -> Vec<CircuitSource> {
         .collect()
 }
 
-fn options(threads: usize, lane_width: usize) -> ExperimentOptions {
+fn options(threads: usize, packed_replay: bool) -> ExperimentOptions {
     ExperimentOptions {
         threads,
-        lane_width,
+        packed_replay,
         ..ExperimentOptions::fast()
     }
 }
@@ -111,17 +111,17 @@ fn job_done_cache_hits(end: &Response) -> u64 {
 }
 
 /// The identity matrix: one shared cache, the same batch submitted across
-/// harness worker counts {1, 3, auto} × lane widths {64, 512} × shuffled
+/// harness worker counts {1, 3, auto} × replays {packed, scalar} × shuffled
 /// arrival orders. Every row's outcome bytes are pinned identical to the
 /// reference run, the first run computes everything, and every
 /// resubmission is served entirely by cache hits (hits == circuit count —
 /// the `tests/cache.rs` discipline, now through the protocol).
 #[test]
-fn service_identity_across_workers_lanes_orders_and_cache() {
+fn service_identity_across_workers_replays_orders_and_cache() {
     let cache = Arc::new(ResultCache::in_memory());
     let base_order = [0, 1, 2];
 
-    let (reference, end) = run_local(&cache, &base_order, options(1, 64));
+    let (reference, end) = run_local(&cache, &base_order, options(1, true));
     assert_eq!(
         job_done_cache_hits(&end),
         0,
@@ -130,32 +130,32 @@ fn service_identity_across_workers_lanes_orders_and_cache() {
     let reference_bytes: Vec<&Vec<u8>> = reference.iter().map(|(_, bytes, _)| bytes).collect();
 
     for threads in [1, 3, 0] {
-        for lane_width in [64, 512] {
-            let (rows, end) = run_local(&cache, &base_order, options(threads, lane_width));
+        for packed_replay in [true, false] {
+            let (rows, end) = run_local(&cache, &base_order, options(threads, packed_replay));
             for ((circuit, bytes, frame), (_, _, reference_frame)) in
                 rows.iter().zip(reference.iter())
             {
                 assert_eq!(
                     bytes, reference_bytes[*circuit],
-                    "threads {threads}, lanes {lane_width}: outcome bytes"
+                    "threads {threads}, packed {packed_replay}: outcome bytes"
                 );
                 // Same order, same fresh-server job id: the whole frame
                 // is byte-identical, not just the row.
                 assert_eq!(
                     frame, reference_frame,
-                    "threads {threads}, lanes {lane_width}: full frame"
+                    "threads {threads}, packed {packed_replay}: full frame"
                 );
             }
             assert_eq!(
                 job_done_cache_hits(&end),
                 CIRCUITS.len() as u64,
-                "threads {threads}, lanes {lane_width}: served from cache"
+                "threads {threads}, packed {packed_replay}: served from cache"
             );
         }
     }
 
     for order in [[2, 0, 1], [1, 2, 0], [2, 1, 0]] {
-        let (rows, end) = run_local(&cache, &order, options(3, 64));
+        let (rows, end) = run_local(&cache, &order, options(3, true));
         for (circuit, bytes, _) in &rows {
             assert_eq!(
                 bytes, reference_bytes[*circuit],
@@ -173,7 +173,7 @@ fn service_identity_across_workers_lanes_orders_and_cache() {
 fn tcp_and_local_transports_carry_identical_frames() {
     let cache = Arc::new(ResultCache::in_memory());
     let order = [0, 1];
-    let (local_rows, _) = run_local(&cache, &order, options(1, 64));
+    let (local_rows, _) = run_local(&cache, &order, options(1, true));
 
     let server = Server::with_cache(ServeConfig::default(), Arc::clone(&cache));
     let (transport, shutdown) = TcpTransport::bind("127.0.0.1:0").unwrap();
@@ -185,7 +185,7 @@ fn tcp_and_local_transports_carry_identical_frames() {
     let drained = client
         .run_job(&JobSpec {
             circuits: sources(&order),
-            options: options(1, 64),
+            options: options(1, true),
         })
         .unwrap();
     assert_eq!(drained.rows.len(), order.len());
@@ -216,7 +216,7 @@ fn full_queue_refuses_submissions_with_typed_busy() {
     let mut client = ServeClient::new(connector.connect().unwrap());
     let spec = JobSpec {
         circuits: sources(&[0]),
-        options: options(1, 64),
+        options: options(1, true),
     };
     assert!(matches!(
         client.submit(&spec).unwrap(),
@@ -258,7 +258,7 @@ fn cancel_job_cancels_every_circuit_deterministically() {
     let Response::JobAccepted { job } = client
         .submit(&JobSpec {
             circuits: sources(&[0, 1]),
-            options: options(1, 64),
+            options: options(1, true),
         })
         .unwrap()
     else {
@@ -309,7 +309,8 @@ fn cancel_job_cancels_every_circuit_deterministically() {
 /// response frame back on the same connection — usually a typed `Error`,
 /// occasionally a legitimate response when the flip lands on a value byte
 /// — and the session keeps answering valid requests afterwards. Well-formed
-/// submissions with out-of-range ATPG options get a typed `Error` too.
+/// submissions with out-of-range ATPG or proposed-flow options get a typed
+/// `Error` too.
 #[test]
 fn corrupted_request_payloads_get_typed_responses_and_never_wedge() {
     let server = Server::new(ServeConfig {
@@ -359,9 +360,9 @@ fn corrupted_request_payloads_get_typed_responses_and_never_wedge() {
     // Well-formed submissions with unbounded ATPG options are typed
     // rejections: a 2^40-pattern random block must never reach the
     // allocator, and a NaN coverage target must never reach the flow.
-    let mut oversized_block = options(1, 64);
+    let mut oversized_block = options(1, true);
     oversized_block.atpg.random_block_size = 1 << 40;
-    let mut nan_target = options(1, 64);
+    let mut nan_target = options(1, true);
     nan_target.atpg.target_coverage = f64::NAN;
     for (case, opts) in [("oversized block", oversized_block), ("NaN", nan_target)] {
         let submit = Request::SubmitJob(Box::new(JobSpec {
@@ -374,6 +375,32 @@ fn corrupted_request_payloads_get_typed_responses_and_never_wedge() {
             panic!("{case}: an unbounded ATPG option must be a typed error");
         };
         assert!(message.contains("ATPG"), "{case}: got {message}");
+    }
+
+    // The same for unbounded proposed-flow options: zero sample blocks must
+    // never reach the observability pass, 2^40 of them never the driver,
+    // and a mux fraction outside finite [0, 1] never the MUX plan.
+    let proposed_cases: [(&str, Option<usize>, Option<f64>); 5] = [
+        ("zero sample blocks", Some(0), None),
+        ("2^40 sample blocks", Some(1 << 40), None),
+        ("NaN mux fraction", None, Some(f64::NAN)),
+        ("infinite mux fraction", None, Some(f64::INFINITY)),
+        ("mux fraction above 1", None, Some(1.5)),
+    ];
+    for (case, sampled_observability, mux_fraction) in proposed_cases {
+        let mut opts = options(1, true);
+        opts.proposed.sampled_observability = sampled_observability;
+        opts.proposed.mux_fraction = mux_fraction;
+        let submit = Request::SubmitJob(Box::new(JobSpec {
+            circuits: sources(&[0]),
+            options: opts,
+        }));
+        conn.send_frame(&encode_message(&submit)).unwrap();
+        let reply = conn.recv_frame().unwrap().unwrap();
+        let Response::Error { message } = decode_message::<Response>(&reply).unwrap() else {
+            panic!("{case}: an unbounded proposed-flow option must be a typed error");
+        };
+        assert!(message.contains("proposed"), "{case}: got {message}");
     }
 
     // The session still works.

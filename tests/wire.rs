@@ -201,11 +201,7 @@ fn experiment_options_round_trip_all_knobs() {
             },
             threads: rng.gen_range(0..8),
             packed_replay: rng.gen_bool(0.5),
-            lane_width: *[64usize, 256, 512].get(rng.gen_range(0..3)).unwrap(),
-            event_driven: rng.gen_bool(0.5),
-            scalar_leakage_lookup: rng.gen_bool(0.5),
             lint_preflight: rng.gen_bool(0.5),
-            lint_facts_skip: rng.gen_bool(0.5),
             limits: ResourceLimits {
                 max_gates: rng.gen_bool(0.5).then(|| rng.gen_range(0..100_000)),
                 max_replayed_patterns: rng.gen_bool(0.5).then(|| rng.gen_range(0..10_000)),
