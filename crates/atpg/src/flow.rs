@@ -310,7 +310,7 @@ impl AtpgFlow {
 
         // Phase 2: PODEM on the remaining faults. `detected_count` keeps
         // running, so the per-fault target check is O(1).
-        let podem = Podem::new(netlist, self.config.backtrack_limit);
+        let mut podem = Podem::new(netlist, self.config.backtrack_limit);
         let mut deterministic_patterns = 0usize;
         let mut untestable = 0usize;
         let mut aborted = 0usize;
@@ -416,11 +416,13 @@ mod tests {
         let test_set = AtpgFlow::new(AtpgConfig::default()).run(&n);
         assert!(test_set.fault_coverage > 0.9, "{}", test_set.fault_coverage);
         assert!(!test_set.patterns.is_empty());
+        // s27 has 34 faults, so the 0.995 default target is only met at
+        // full coverage and PODEM skips no fault: each one is detected,
+        // proved untestable or aborted, and counted exactly once.
+        assert_eq!(test_set.total_faults, 34);
         assert_eq!(
-            test_set.detected_faults + test_set.untestable_faults + test_set.aborted_faults
-                >= test_set.total_faults,
-            test_set.detected_faults + test_set.untestable_faults + test_set.aborted_faults
-                >= test_set.total_faults
+            test_set.detected_faults + test_set.untestable_faults + test_set.aborted_faults,
+            test_set.total_faults
         );
     }
 

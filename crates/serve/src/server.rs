@@ -77,7 +77,11 @@ impl Default for ServeConfig {
 /// One admitted job: its resolved inputs and its event stream.
 struct JobEntry {
     id: JobId,
-    netlists: Vec<Netlist>,
+    /// The resolved circuits, taken by the worker that runs the job and
+    /// dropped when the run ends, so a finished job keeps only its status.
+    netlists: Mutex<Vec<Netlist>>,
+    /// Number of circuits the job was submitted with.
+    total: usize,
     options: ExperimentOptions,
     /// The cancellation parent a `CancelJob` request trips; every circuit
     /// attempt polls a child of it.
@@ -279,7 +283,8 @@ impl ServerInner {
         }
         let entry = Arc::new(JobEntry {
             id,
-            netlists,
+            total: netlists.len(),
+            netlists: Mutex::new(netlists),
             options,
             cancel: CancelFlag::new(),
             state: Mutex::new(JobState::Queued),
@@ -320,7 +325,7 @@ impl ServerInner {
             job: id,
             state,
             completed: entry.completed.load(Ordering::Acquire),
-            total: entry.netlists.len(),
+            total: entry.total,
         }
     }
 
@@ -345,11 +350,12 @@ impl ServerInner {
         let entry = self.jobs.lock().expect("jobs lock").get(&id).cloned();
         let Some(entry) = entry else { return };
         *entry.state.lock().expect("state lock") = JobState::Running;
+        let netlists = std::mem::take(&mut *entry.netlists.lock().expect("netlists lock"));
         let hits_before = self.cache.stats().hits;
         let streamed = &entry;
         let run = catch_unwind(AssertUnwindSafe(|| {
             run_netlists_streamed(
-                &entry.netlists,
+                &netlists,
                 &entry.options,
                 Some(&entry.cancel),
                 &|index, outcome| {
@@ -531,6 +537,42 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn finished_jobs_keep_their_status_but_not_their_netlists() {
+        let server = Server::new(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        });
+        let spec = JobSpec {
+            circuits: vec![family("s27"), family("s27")],
+            options: ExperimentOptions::fast(),
+        };
+        let Response::JobAccepted { job } = server.inner.handle(Request::SubmitJob(Box::new(spec)))
+        else {
+            panic!("submission refused");
+        };
+        let entry = server.inner.jobs.lock().unwrap()[&job].clone();
+        assert_eq!(entry.netlists.lock().unwrap().len(), 2);
+        assert!(server.run_pending_job());
+        let events: Vec<Response> = (0..3)
+            .map(|_| server.inner.handle(Request::PollJob(job)))
+            .collect();
+        assert!(
+            matches!(events[2], Response::JobDone { rows: 2, .. }),
+            "{events:?}"
+        );
+        assert!(matches!(
+            server.inner.handle(Request::PollJob(job)),
+            Response::JobStatus {
+                state: JobState::Done,
+                completed: 2,
+                total: 2,
+                ..
+            }
+        ));
+        assert!(entry.netlists.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //! the flip-flop D inputs (full-scan observation).
 //!
 //! Simulation is bit-parallel through the shared
-//! [`SimKernel`]: 64 patterns are evaluated per
-//! topological pass using one [`PackedWord`] per net, for the fault-free
-//! circuit and for every fault's fanout-cone overlay alike.
+//! [`SimKernel`]: 64 patterns are evaluated per topological pass using one
+//! [`PackedWord`] per net for the fault-free circuit. Each still-active
+//! fault is then simulated event-driven on top of those values: its site is
+//! pinned to the stuck value, the kernel's dirty worklist re-evaluates only
+//! the gates whose inputs actually moved, and exactly the nets that changed
+//! are restored afterwards.
 
-use scanpower_netlist::{topo, NetId, Netlist};
+use scanpower_netlist::{NetId, Netlist};
 
-use crate::kernel::{self, pack_bool_patterns, LogicWord, PackedWord, SimKernel};
+use crate::kernel::{pack_bool_patterns, DirtyWorklist, LogicWord, PackedWord, SimKernel};
 
 /// A single stuck-at fault on a net.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,11 +75,23 @@ pub struct BlockDetections {
     pub new_per_lane: Vec<usize>,
 }
 
+/// Faulty-machine state reused across the faults of one block: the
+/// per-net values (equal to the fault-free values between faults), the
+/// kernel worklist the fault effect propagates on, and the nets the current
+/// fault changed.
+struct FaultyMachine {
+    values: Vec<PackedWord>,
+    worklist: DirtyWorklist,
+    changed: Vec<NetId>,
+}
+
 /// Bit-parallel stuck-at fault simulator.
 #[derive(Debug, Clone)]
 pub struct FaultSim {
     kernel: SimKernel<PackedWord>,
     observation: Vec<NetId>,
+    /// Per net: whether it is one of the observation points.
+    observed: Vec<bool>,
 }
 
 impl FaultSim {
@@ -91,9 +106,14 @@ impl FaultSim {
         observation.extend(netlist.pseudo_outputs());
         observation.sort_unstable();
         observation.dedup();
+        let mut observed = vec![false; netlist.net_count()];
+        for &net in &observation {
+            observed[net.index()] = true;
+        }
         FaultSim {
             kernel: SimKernel::new(netlist),
             observation,
+            observed,
         }
     }
 
@@ -145,11 +165,12 @@ impl FaultSim {
     }
 
     /// Fault-simulates one block of up to 64 patterns in a single fault-free
-    /// kernel pass (plus one fanout-cone overlay per still-active fault),
-    /// updating `detected` in place. Already-detected faults are skipped
-    /// (fault dropping); newly detected faults are credited to the first
-    /// pattern of the block that detects them, which makes the result
-    /// indistinguishable from simulating the block one pattern at a time.
+    /// kernel pass (plus one event-driven propagation from the pinned fault
+    /// site per still-active fault), updating `detected` in place.
+    /// Already-detected faults are skipped (fault dropping); newly detected
+    /// faults are credited to the first pattern of the block that detects
+    /// them, which makes the result indistinguishable from simulating the
+    /// block one pattern at a time.
     ///
     /// # Panics
     ///
@@ -208,7 +229,11 @@ impl FaultSim {
         } else {
             (1u64 << block.len()) - 1
         };
-        let mut faulty = good.clone();
+        let mut faulty = FaultyMachine {
+            values: good.clone(),
+            worklist: self.kernel.make_worklist(),
+            changed: Vec::new(),
+        };
         let mut masks = Vec::new();
         for (index, fault) in faults.iter().enumerate() {
             if detected[index] {
@@ -271,50 +296,49 @@ impl FaultSim {
         detected.iter().filter(|&&d| d).count() as f64 / faults.len() as f64
     }
 
-    /// Evaluates the fanout cone of the fault on top of the fault-free
-    /// values and returns the lane mask (within `active_mask`) on which the
-    /// fault effect reaches an observation point. `faulty` is restored to
-    /// `good` before returning.
+    /// Pins the fault site to the stuck value on top of the fault-free
+    /// values, propagates the change event-driven through the kernel's
+    /// dirty worklist and returns the lane mask (within `active_mask`) on
+    /// which the fault effect reaches an observation point. Only the nets
+    /// that changed can differ from `good`, so only they are checked and
+    /// restored: `faulty` equals `good` again on return.
     fn detecting_lanes(
         &self,
         netlist: &Netlist,
         good: &[PackedWord],
-        faulty: &mut [PackedWord],
+        faulty: &mut FaultyMachine,
         fault: &Fault,
         forced: PackedWord,
         active_mask: u64,
     ) -> u64 {
-        let mut touched: Vec<NetId> = vec![fault.net];
-        faulty[fault.net.index()] = forced;
-
-        let cone = topo::fanout_cone(netlist, fault.net);
-        let mut in_cone = vec![false; netlist.gate_count()];
-        for &gate in &cone {
-            in_cone[gate.index()] = true;
-        }
-        for &gate_id in self.kernel.order() {
-            if !in_cone[gate_id.index()] {
-                continue;
-            }
-            let gate = netlist.gate(gate_id);
-            let value = kernel::eval_gate_at(gate.kind, &gate.inputs, faulty);
-            if faulty[gate.output.index()] != value {
-                touched.push(gate.output);
-                faulty[gate.output.index()] = value;
-            }
-        }
-
-        // Accumulate over every observation point: the complete lane mask is
-        // needed so that the first-detecting-pattern credit matches a
-        // pattern-at-a-time simulation exactly.
+        let site = fault.net;
+        faulty.values[site.index()] = forced;
+        self.kernel.mark_net_changed(site, &mut faulty.worklist);
+        // Accumulate over every observation point the effect reaches: the
+        // complete lane mask is needed so that the first-detecting-pattern
+        // credit matches a pattern-at-a-time simulation exactly.
         let mut difference = 0u64;
-        for &obs in &self.observation {
-            difference |= (good[obs.index()].ones() ^ faulty[obs.index()].ones()) & active_mask;
+        let mut observe = |net: NetId, value: PackedWord| {
+            if self.observed[net.index()] {
+                difference |= (good[net.index()].ones() ^ value.ones()) & active_mask;
+            }
+        };
+        observe(site, forced);
+        let changed = &mut faulty.changed;
+        self.kernel.propagate_from(
+            netlist,
+            &mut faulty.values,
+            &mut faulty.worklist,
+            Some(site),
+            |net, _, new| {
+                observe(net, new);
+                changed.push(net);
+            },
+        );
+        for net in changed.drain(..) {
+            faulty.values[net.index()] = good[net.index()];
         }
-
-        for net in touched {
-            faulty[net.index()] = good[net.index()];
-        }
+        faulty.values[site.index()] = good[site.index()];
         difference
     }
 }
@@ -480,6 +504,97 @@ mod tests {
         // Faults already detected in the snapshot are skipped entirely.
         let again = sim.detect_block_lanes(&n, &faults, &patterns, &merged);
         assert!(again.is_empty());
+    }
+
+    /// The full-order cone walk the event-driven detection replaced: build
+    /// the fault's fanout cone by BFS, walk the whole topological order
+    /// evaluating the cone gates on top of the fault-free values, then
+    /// compare every observation point.
+    fn cone_walk_block_lanes(
+        sim: &FaultSim,
+        netlist: &Netlist,
+        faults: &[Fault],
+        block: &[Vec<bool>],
+        detected: &[bool],
+    ) -> Vec<(usize, u64)> {
+        if block.is_empty() {
+            return Vec::new();
+        }
+        let good = sim.good_packed(netlist, block);
+        let active_mask = PackedWord::lane_mask(block.len());
+        let mut masks = Vec::new();
+        for (index, fault) in faults.iter().enumerate() {
+            if detected[index] {
+                continue;
+            }
+            let forced = fault.forced_word();
+            if (good[fault.net.index()].ones() ^ forced.ones()) & active_mask == 0 {
+                continue;
+            }
+            let mut faulty = good.clone();
+            faulty[fault.net.index()] = forced;
+            let mut in_cone = vec![false; netlist.gate_count()];
+            for gate in scanpower_netlist::topo::fanout_cone(netlist, fault.net) {
+                in_cone[gate.index()] = true;
+            }
+            for &gate_id in sim.kernel.order() {
+                if in_cone[gate_id.index()] {
+                    let gate = netlist.gate(gate_id);
+                    faulty[gate.output.index()] =
+                        crate::kernel::eval_gate_at(gate.kind, &gate.inputs, &faulty);
+                }
+            }
+            let mut lanes = 0u64;
+            for &obs in sim.observation_points() {
+                lanes |= (good[obs.index()].ones() ^ faulty[obs.index()].ones()) & active_mask;
+            }
+            if lanes != 0 {
+                masks.push((index, lanes));
+            }
+        }
+        masks
+    }
+
+    /// Event-driven detection must return exactly the cone-walk oracle's
+    /// masks — on full and partial blocks, against an empty and a partly
+    /// detected snapshot, for faults on combinational inputs, on gate
+    /// outputs and on observation points.
+    #[test]
+    fn atpg_reference_detect_block_lanes_matches_full_order_cone_walk() {
+        use scanpower_netlist::generator::CircuitFamily;
+        let s27 = bench::parse(bench::S27_BENCH, "s27").unwrap();
+        let s344 = CircuitFamily::iscas89_like("s344").unwrap().generate(2);
+        let s641 = CircuitFamily::iscas89_like("s641")
+            .unwrap()
+            .scaled(0.5)
+            .generate(4);
+        for netlist in [&s27, &s344, &s641] {
+            let sim = FaultSim::new(netlist);
+            let faults = all_net_faults(netlist);
+            let inputs = netlist.combinational_inputs();
+            let on = |pick: &dyn Fn(NetId) -> bool| faults.iter().any(|f| pick(f.net));
+            assert!(on(&|net| inputs.contains(&net)));
+            assert!(on(&|net| netlist.driver_gate(net).is_some()));
+            assert!(on(&|net| sim.observation_points().contains(&net)));
+
+            let empty = vec![false; faults.len()];
+            let partly: Vec<bool> = (0..faults.len()).map(|i| i % 3 == 0).collect();
+            for (seed, size) in [(1, 64), (2, 40), (3, 17), (4, 1), (5, 0)] {
+                let block = random_bool_patterns(inputs.len(), size, seed);
+                for snapshot in [&empty, &partly] {
+                    let masks = sim.detect_block_lanes(netlist, &faults, &block, snapshot);
+                    let reference = cone_walk_block_lanes(&sim, netlist, &faults, &block, snapshot);
+                    assert_eq!(masks, reference, "{}: block of {size}", netlist.name());
+                    if size == 64 && snapshot == &empty {
+                        assert!(
+                            !masks.is_empty(),
+                            "{}: block detects nothing",
+                            netlist.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

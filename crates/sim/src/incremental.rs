@@ -82,6 +82,7 @@ impl IncrementalSim {
             netlist,
             &mut self.values,
             &mut self.worklist,
+            None,
             |net, _, _| {
                 toggled.push(net);
             },

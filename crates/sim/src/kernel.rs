@@ -641,8 +641,9 @@ impl<W: LogicWord> SimKernel<W> {
     /// Re-evaluates every gate (in topological order) over a caller-provided
     /// per-net value buffer. Source nets are left untouched; every driven
     /// net is overwritten. This is the primitive behind every simulator in
-    /// the workspace; callers that seed arbitrary net values (the fault
-    /// simulator, PODEM) drive it directly.
+    /// the workspace; callers that then change a few source values and pin a
+    /// fault site (the fault simulator, PODEM) follow it with the
+    /// event-driven [`SimKernel::propagate_from`].
     ///
     /// # Panics
     ///
@@ -710,13 +711,22 @@ impl<W: LogicWord> SimKernel<W> {
     /// packed scan replay uses to count toggles and collect the changed-net
     /// list for its observer.
     ///
+    /// `pinned` names a net whose value the caller holds fixed — the site
+    /// of a stuck-at fault in the faulty machine of the fault simulator and
+    /// of PODEM. The gate driving it is never re-evaluated, so the net keeps
+    /// whatever value the caller wrote into the buffer (and, when the caller
+    /// changed that value, marked with [`SimKernel::mark_net_changed`]).
+    /// Pinning a source net changes nothing here: no gate drives it, and the
+    /// caller simply does not overwrite it. Fault-free callers pass `None`.
+    ///
     /// Starting from a settled value buffer (one a full
-    /// [`SimKernel::propagate`] pass would leave unchanged), the buffer is
-    /// settled again on return and **exactly equal** — every lane of every
-    /// net — to what the full pass would have produced, because a gate none
-    /// of whose input words changed re-evaluates to the identical output
-    /// word. Change detection is whole-word (`!=` over all lanes), never
-    /// masked, precisely to preserve that invariant.
+    /// [`SimKernel::propagate`] pass with the pinned net's driver skipped
+    /// would leave unchanged), the buffer is settled again on return and
+    /// **exactly equal** — every lane of every net — to what that full pass
+    /// would have produced, because a gate none of whose input words changed
+    /// re-evaluates to the identical output word. Change detection is
+    /// whole-word (`!=` over all lanes), never masked, precisely to preserve
+    /// that invariant.
     ///
     /// The worklist is drained and ready for the next cycle on return.
     ///
@@ -730,6 +740,7 @@ impl<W: LogicWord> SimKernel<W> {
         netlist: &Netlist,
         values: &mut [W],
         worklist: &mut DirtyWorklist,
+        pinned: Option<NetId>,
         mut on_change: F,
     ) where
         F: FnMut(NetId, W, W),
@@ -754,6 +765,9 @@ impl<W: LogicWord> SimKernel<W> {
             let mut bucket = std::mem::take(&mut worklist.buckets[level]);
             for &gate_index in &bucket {
                 let gate = netlist.gate(GateId::from_index(gate_index as usize));
+                if pinned == Some(gate.output) {
+                    continue;
+                }
                 let new = eval_gate_at(gate.kind, &gate.inputs, values);
                 let old = values[gate.output.index()];
                 if new != old {
@@ -1088,10 +1102,16 @@ mod tests {
                 }
             }
             let mut changed = Vec::new();
-            kernel.propagate_from(&netlist, &mut values, &mut worklist, |net, old, new| {
-                assert_ne!(old, new, "round {round}: spurious change report");
-                changed.push(net);
-            });
+            kernel.propagate_from(
+                &netlist,
+                &mut values,
+                &mut worklist,
+                None,
+                |net, old, new| {
+                    assert_ne!(old, new, "round {round}: spurious change report");
+                    changed.push(net);
+                },
+            );
             assert!(worklist.is_empty(), "round {round}: worklist must drain");
 
             let full = reference.evaluate(&netlist, &inputs);
@@ -1125,7 +1145,7 @@ mod tests {
         let snapshot = values.clone();
         let mut worklist = kernel.make_worklist();
         assert!(worklist.is_empty());
-        kernel.propagate_from(&netlist, &mut values, &mut worklist, |net, _, _| {
+        kernel.propagate_from(&netlist, &mut values, &mut worklist, None, |net, _, _| {
             panic!("nothing changed, yet net {net} was reported");
         });
         assert_eq!(values, snapshot);
@@ -1148,11 +1168,100 @@ mod tests {
         values[b.index()] = Logic::One;
         kernel.mark_net_changed(b, &mut worklist);
         let mut changed = Vec::new();
-        kernel.propagate_from(&n, &mut values, &mut worklist, |net, _, _| {
+        kernel.propagate_from(&n, &mut values, &mut worklist, None, |net, _, _| {
             changed.push(net)
         });
         assert!(changed.is_empty(), "blocked transition must not propagate");
         assert_eq!(values[g.output.index()], Logic::One);
+    }
+
+    /// Full topological sweep that never re-evaluates the gate driving
+    /// `pinned` — the semantics pinned [`SimKernel::propagate_from`] must
+    /// reproduce.
+    fn pinned_full_sweep(
+        kernel: &SimKernel<Logic>,
+        netlist: &Netlist,
+        values: &mut [Logic],
+        pinned: NetId,
+    ) {
+        for &gate_id in kernel.order() {
+            let gate = netlist.gate(gate_id);
+            if gate.output != pinned {
+                values[gate.output.index()] = eval_gate_at(gate.kind, &gate.inputs, values);
+            }
+        }
+    }
+
+    /// Pinning every net of s27 and of a synthetic circuit in turn (gate
+    /// outputs and combinational inputs alike) to a stuck value, then
+    /// flipping random inputs — including to and from X — event-driven
+    /// propagation must leave exactly the pinned full sweep's values, never
+    /// touch the pinned net, and report exactly the nets that moved.
+    #[test]
+    fn atpg_reference_pinned_propagate_from_matches_pinned_full_sweep() {
+        let s27 = bench::parse(bench::S27_BENCH, "s27").unwrap();
+        let synthetic = scanpower_netlist::generator::CircuitFamily::iscas89_like("s344")
+            .unwrap()
+            .scaled(0.5)
+            .generate(3);
+        let mut seed = 0x0bad_cafe_d00d_f00du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for netlist in [&s27, &synthetic] {
+            let kernel = SimKernel::<Logic>::new(netlist);
+            let mut worklist = kernel.make_worklist();
+            for pinned in netlist.net_ids() {
+                let stuck = Logic::from_bool(next() & 1 == 1);
+                let mut values = vec![Logic::X; netlist.net_count()];
+                values[pinned.index()] = stuck;
+                pinned_full_sweep(&kernel, netlist, &mut values, pinned);
+                for round in 0..8 {
+                    let mut reference = values.clone();
+                    for &net in kernel.inputs() {
+                        if net == pinned || next() % 3 != 0 {
+                            continue;
+                        }
+                        let value = [Logic::Zero, Logic::One, Logic::X][(next() % 3) as usize];
+                        reference[net.index()] = value;
+                        if values[net.index()] != value {
+                            values[net.index()] = value;
+                            kernel.mark_net_changed(net, &mut worklist);
+                        }
+                    }
+                    let before = values.clone();
+                    let mut changed = Vec::new();
+                    kernel.propagate_from(
+                        netlist,
+                        &mut values,
+                        &mut worklist,
+                        Some(pinned),
+                        |net, old, new| {
+                            assert_ne!(net, pinned, "the pinned net was re-evaluated");
+                            assert_ne!(old, new, "spurious change report");
+                            changed.push(net);
+                        },
+                    );
+                    assert!(worklist.is_empty(), "round {round}: worklist must drain");
+                    pinned_full_sweep(&kernel, netlist, &mut reference, pinned);
+                    assert_eq!(values, reference, "pin {pinned}, round {round}");
+                    assert_eq!(values[pinned.index()], stuck);
+                    let mut moved: Vec<NetId> = netlist
+                        .net_ids()
+                        .filter(|net| {
+                            netlist.driver_gate(*net).is_some()
+                                && before[net.index()] != values[net.index()]
+                        })
+                        .collect();
+                    moved.sort_unstable();
+                    changed.sort_unstable();
+                    assert_eq!(changed, moved, "pin {pinned}, round {round}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -476,6 +476,7 @@ impl PackedScanShiftSim {
                             netlist,
                             &mut prev,
                             &mut worklist,
+                            None,
                             |net, old, new| {
                                 let count = u64::from(new.count_differs(old, lanes));
                                 if count != 0 {
