@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use scanpower_wire::{ContentHasher, Wire};
+use scanpower_wire::ContentHasher;
 
 /// A 128-bit content address of a cached result.
 ///
@@ -68,13 +68,6 @@ impl KeyBuilder {
         self
     }
 
-    /// Folds a [`Wire`]-encodable value in as one part (its canonical
-    /// message bytes).
-    #[must_use]
-    pub fn wire<T: Wire>(self, value: &T) -> KeyBuilder {
-        self.part(&value.to_wire_bytes())
-    }
-
     /// Finishes the key.
     #[must_use]
     pub fn finish(self) -> CacheKey {
@@ -102,12 +95,19 @@ mod tests {
         assert_ne!(ab_c, a_bc);
     }
 
+    /// A value's wire part is its whole message, format version included,
+    /// so a `WIRE_VERSION` bump moves every key built over wire bytes.
     #[test]
     fn wire_part_equals_encoded_bytes_part() {
+        use scanpower_wire::{encode_message, Wire, WIRE_VERSION};
         let value = 7u64;
-        let via_wire = KeyBuilder::new("d").wire(&value).finish();
-        let via_bytes = KeyBuilder::new("d").part(&value.to_wire_bytes()).finish();
+        let bytes = value.to_wire_bytes();
+        let via_wire = KeyBuilder::new("d").part(&bytes).finish();
+        let via_bytes = KeyBuilder::new("d").part(&encode_message(&value)).finish();
         assert_eq!(via_wire, via_bytes);
+        assert_eq!(bytes[4..6], WIRE_VERSION.to_le_bytes());
+        let payload_only = KeyBuilder::new("d").part(&bytes[6..]).finish();
+        assert_ne!(via_wire, payload_only);
     }
 
     #[test]

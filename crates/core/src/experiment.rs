@@ -8,6 +8,7 @@
 //! improvement percentages of the proposed structure over both baselines.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -138,8 +139,21 @@ pub struct ResourceLimits {
 /// the default is disabled — caching is strictly opt-in. Cloning the
 /// options clones the handle cheaply (an [`Arc`] bump), so every worker
 /// thread of a sharded run shares one cache.
+///
+/// Each [`ResultCacheHandle::new`] also starts a row-hit counter that every
+/// clone of the handle shares, so a service that builds one handle per job
+/// reads that job's own hits ([`ResultCacheHandle::row_hits`]) even while
+/// other jobs hit the same cache.
 #[derive(Clone, Default)]
-pub struct ResultCacheHandle(Option<Arc<ResultCache>>);
+pub struct ResultCacheHandle(Option<AttachedCache>);
+
+/// The cache behind an enabled [`ResultCacheHandle`] and the handle's
+/// row-hit counter.
+#[derive(Clone)]
+struct AttachedCache {
+    cache: Arc<ResultCache>,
+    row_hits: Arc<AtomicU64>,
+}
 
 impl ResultCacheHandle {
     /// The disabled handle (the default): every lookup misses statically
@@ -149,22 +163,41 @@ impl ResultCacheHandle {
         ResultCacheHandle(None)
     }
 
-    /// Wraps a shared cache.
+    /// Wraps a shared cache, with a fresh row-hit count of zero.
     #[must_use]
     pub fn new(cache: Arc<ResultCache>) -> ResultCacheHandle {
-        ResultCacheHandle(Some(cache))
+        ResultCacheHandle(Some(AttachedCache {
+            cache,
+            row_hits: Arc::default(),
+        }))
     }
 
     /// The cache, when enabled.
     #[must_use]
     pub fn get(&self) -> Option<&ResultCache> {
-        self.0.as_deref()
+        self.0.as_ref().map(|attached| &*attached.cache)
     }
 
     /// `true` when a cache is attached.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
+    }
+
+    /// Row lookups that hit the cache (memory or disk tier) through this
+    /// handle or any clone of it since [`ResultCacheHandle::new`]; always
+    /// `0` when disabled.
+    #[must_use]
+    pub fn row_hits(&self) -> u64 {
+        self.0
+            .as_ref()
+            .map_or(0, |attached| attached.row_hits.load(Ordering::Relaxed))
+    }
+
+    fn count_row_hit(&self) {
+        if let Some(attached) = &self.0 {
+            attached.row_hits.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -177,7 +210,7 @@ impl From<Arc<ResultCache>> for ResultCacheHandle {
 impl PartialEq for ResultCacheHandle {
     fn eq(&self, other: &ResultCacheHandle) -> bool {
         match (&self.0, &other.0) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.cache, &b.cache),
             (None, None) => true,
             _ => false,
         }
@@ -187,7 +220,11 @@ impl PartialEq for ResultCacheHandle {
 impl fmt::Debug for ResultCacheHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.0 {
-            Some(cache) => f.debug_tuple("ResultCacheHandle").field(cache).finish(),
+            Some(attached) => f
+                .debug_struct("ResultCacheHandle")
+                .field("cache", &attached.cache)
+                .field("row_hits", &attached.row_hits)
+                .finish(),
             None => f.write_str("ResultCacheHandle(disabled)"),
         }
     }
@@ -215,12 +252,6 @@ pub struct ExperimentOptions {
     /// replay is the fast default, the scalar path is kept for
     /// cross-checking.
     pub packed_replay: bool,
-    /// Run the [`scanpower_lint`] static-analysis preflight before the
-    /// experiment (the default). [`CircuitExperiment::run`] then refuses —
-    /// with the full lint report — any circuit carrying an Error-severity
-    /// finding (undriven nets, combinational loops, over-pin-limit gates,
-    /// …), instead of failing deep inside the replay kernel.
-    pub lint_preflight: bool,
     /// Resource ceilings checked before any simulation work dispatches —
     /// see [`ResourceLimits`]. Unlimited by default.
     pub limits: ResourceLimits,
@@ -238,10 +269,11 @@ pub struct ExperimentOptions {
     /// Content-addressed result cache, disabled by default. When a cache is
     /// attached, [`CircuitExperiment::try_run`] looks each circuit's
     /// finished [`CircuitRow`] up by a key over the canonical wire bytes of
-    /// (netlist, semantic options) before running ATPG, and
-    /// [`CircuitExperiment::try_evaluate_scheme_stats`] does the same per
-    /// scheme replay; hits return the stored bytes with the replay skipped
-    /// entirely. Keys deliberately *exclude* the pure bit-identity knobs
+    /// (netlist, semantic options) before running ATPG; a hit returns the
+    /// stored row with ATPG and all three replays skipped. The finished row
+    /// is the only thing the cache stores — a scheme replay on its own
+    /// ([`CircuitExperiment::try_evaluate_scheme_stats`]) always runs.
+    /// Keys deliberately *exclude* the pure bit-identity knobs
     /// (`threads` and `packed_replay`, which the workspace pins as
     /// byte-identical), so a warm cache serves across thread counts and
     /// both replays; see
@@ -259,7 +291,6 @@ impl Default for ExperimentOptions {
             proposed: ProposedOptions::default(),
             threads: 0,
             packed_replay: true,
-            lint_preflight: true,
             limits: ResourceLimits::default(),
             retries: 0,
             job_deadline_ms: None,
@@ -281,8 +312,9 @@ impl Default for ExperimentOptions {
 ///
 /// * `threads` and `packed_replay` — the workspace's pinned bit-identity
 ///   matrix: every combination produces byte-identical rows.
-/// * `lint_preflight` and `limits.max_gates` — enforced *before* the cache
-///   lookup, so a refused circuit never reaches the cache.
+/// * `limits.max_gates` — enforced *before* the cache lookup (like the
+///   lint preflight, which always runs), so a refused circuit never
+///   reaches the cache.
 /// * `limits.max_replayed_patterns` — enforced *on* cache hits against the
 ///   stored row's pattern count, exactly like a fresh run enforces it
 ///   against the truncated test set.
@@ -310,24 +342,6 @@ fn row_cache_key(netlist_bytes: &[u8], options: &ExperimentOptions) -> CacheKey 
         .part(env!("CARGO_PKG_VERSION").as_bytes())
         .part(netlist_bytes)
         .part(&semantic_options_bytes(options))
-        .finish()
-}
-
-/// The result-cache key of one scheme replay's `(SchemePower, ShiftStats)`.
-/// The replay is a deterministic function of (netlist, patterns, shift
-/// config) alone — the replay choice is bit-identity — so no options enter
-/// the key.
-fn scheme_cache_key(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConfig) -> CacheKey {
-    let mut pattern_bytes = scanpower_wire::WireWriter::new();
-    pattern_bytes.write_len(patterns.len());
-    for pattern in patterns {
-        pattern.encode_into(&mut pattern_bytes);
-    }
-    KeyBuilder::new("scanpower/scheme-stats/v1")
-        .part(env!("CARGO_PKG_VERSION").as_bytes())
-        .wire(netlist)
-        .part(pattern_bytes.as_bytes())
-        .wire(config)
         .finish()
 }
 
@@ -407,7 +421,9 @@ impl CircuitExperiment {
     }
 
     /// Measures dynamic and static scan power of one structure and returns
-    /// them with the full per-net [`ShiftStats`] of the replay.
+    /// them with the full per-net [`ShiftStats`] of the replay. Every call
+    /// replays: the result cache stores finished rows only (see
+    /// [`ExperimentOptions::result_cache`]), never a single scheme.
     ///
     /// The replay runs on the packed 64-pattern simulator when
     /// [`ExperimentOptions::packed_replay`] is set (the default) and on the
@@ -452,20 +468,6 @@ impl CircuitExperiment {
         let canceled = || ExperimentError::Canceled {
             circuit: netlist.name().to_owned(),
         };
-        // Content-addressed shortcut: the replay is a deterministic
-        // function of (netlist, patterns, config), so a cached result is
-        // byte-identical to a fresh one — including across the two replays
-        // and every reference path, which is why none of them enter the
-        // key.
-        let cache_key = self.options.result_cache.get().map(|cache| {
-            let key = scheme_cache_key(netlist, patterns, config);
-            (cache, key)
-        });
-        if let Some((cache, key)) = &cache_key {
-            if let Some(cached) = cache.get_decoded::<(SchemePower, ShiftStats)>(*key) {
-                return Ok(cached);
-            }
-        }
         // The scalar replay only ever calls `circuit_leakage`, which never
         // touches the ternary tables — skip the precompute there too.
         let reference = self.reference;
@@ -518,9 +520,6 @@ impl CircuitExperiment {
             total_toggles: stats.total_toggles,
             shift_cycles: stats.shift_cycles,
         };
-        if let Some((cache, key)) = cache_key {
-            cache.insert_encoded(key, &(power, stats.clone()));
-        }
         Ok((power, stats))
     }
 
@@ -541,10 +540,9 @@ impl CircuitExperiment {
 
     /// Runs the static-analysis preflight and refuses — with the full lint
     /// report as [`ExperimentError::Lint`] — any circuit carrying an
-    /// Error-severity finding. [`CircuitExperiment::try_run`] calls this
-    /// when [`ExperimentOptions::lint_preflight`] is on (the default); it
-    /// is public so services can validate a submission without paying for
-    /// an experiment.
+    /// Error-severity finding. [`CircuitExperiment::try_run`] always calls
+    /// this before anything else runs; it is public so services can
+    /// validate a submission without paying for an experiment.
     ///
     /// # Errors
     ///
@@ -588,7 +586,7 @@ impl CircuitExperiment {
     /// Returns [`ExperimentError::NoScanCells`] for circuits without scan
     /// cells, [`ExperimentError::ResourceLimit`] when a
     /// [`ResourceLimits`] ceiling refuses the circuit,
-    /// [`ExperimentError::Lint`] when the preflight (on by default) finds
+    /// [`ExperimentError::Lint`] when the preflight finds
     /// Error-severity diagnostics, and [`ExperimentError::Netlist`] when a
     /// transformation step fails.
     pub fn try_run(&self, netlist: &Netlist) -> ExperimentResult<CircuitRow> {
@@ -625,9 +623,7 @@ impl CircuitExperiment {
             });
         }
         self.check_gate_limit(netlist)?;
-        if self.options.lint_preflight {
-            self.lint_preflight(netlist)?;
-        }
+        self.lint_preflight(netlist)?;
         checkpoint()?;
 
         // Content-addressed shortcut, consulted only after the preflight
@@ -643,6 +639,7 @@ impl CircuitExperiment {
         });
         if let Some((cache, key)) = &row_key {
             if let Some(row) = cache.get_decoded::<CircuitRow>(*key) {
+                self.options.result_cache.count_row_hit();
                 if let Some(limit) = self.options.limits.max_replayed_patterns {
                     if row.patterns > limit {
                         return Err(ExperimentError::ResourceLimit {
@@ -1273,10 +1270,6 @@ mod tests {
     fn lint_facts_skip_produces_identical_rows() {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let production = CircuitExperiment::new(ExperimentOptions::fast());
-        assert!(
-            production.options().lint_preflight,
-            "preflight is the default"
-        );
         let reference = production
             .clone()
             .with_reference(ReplayReference::NoLintFacts)
@@ -1320,7 +1313,7 @@ mod tests {
         }
     }
 
-    /// The lint preflight (on by default) refuses circuits with
+    /// The lint preflight (always on) refuses circuits with
     /// Error-severity findings before any simulation runs.
     #[test]
     #[should_panic(expected = "lint preflight rejected")]
@@ -1687,7 +1680,7 @@ mod tests {
         assert_eq!(cold, uncached, "a cold cached run matches uncached");
         assert_eq!(cache.stats().hits, 0);
         let insertions_after_cold = cache.stats().insertions;
-        assert!(insertions_after_cold >= 1, "the row was stored");
+        assert_eq!(insertions_after_cold, 1, "the row, and only the row");
 
         let warm = experiment.run(&n);
         assert_eq!(warm, uncached, "a warm run serves the identical row");
@@ -1697,6 +1690,18 @@ mod tests {
             stats.insertions, insertions_after_cold,
             "nothing recomputed, nothing re-stored"
         );
+        assert_eq!(experiment.options().result_cache.row_hits(), 1);
+
+        // A second handle over the same cache counts only its own hits.
+        let other = CircuitExperiment::new(ExperimentOptions {
+            result_cache: ResultCacheHandle::new(Arc::clone(&cache)),
+            ..ExperimentOptions::fast()
+        });
+        assert_eq!(other.options().result_cache.row_hits(), 0);
+        assert_eq!(other.run(&n), uncached);
+        assert_eq!(other.options().result_cache.row_hits(), 1);
+        assert_eq!(experiment.options().result_cache.row_hits(), 1);
+        assert_eq!(cache.stats().hits, 2);
     }
 
     /// The cache key excludes the bit-identity knobs and the replay

@@ -131,7 +131,6 @@ impl Wire for ExperimentOptions {
         self.proposed.encode_into(writer);
         self.threads.encode_into(writer);
         self.packed_replay.encode_into(writer);
-        self.lint_preflight.encode_into(writer);
         self.limits.encode_into(writer);
         self.retries.encode_into(writer);
         self.job_deadline_ms.encode_into(writer);
@@ -143,7 +142,6 @@ impl Wire for ExperimentOptions {
             proposed: ProposedOptions::decode_from(reader)?,
             threads: usize::decode_from(reader)?,
             packed_replay: bool::decode_from(reader)?,
-            lint_preflight: bool::decode_from(reader)?,
             limits: ResourceLimits::decode_from(reader)?,
             retries: u32::decode_from(reader)?,
             job_deadline_ms: Option::decode_from(reader)?,
@@ -204,7 +202,6 @@ mod tests {
             max_patterns: Some(17),
             threads: 5,
             packed_replay: false,
-            lint_preflight: false,
             limits: ResourceLimits {
                 max_gates: Some(1000),
                 max_replayed_patterns: Some(64),

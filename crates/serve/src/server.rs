@@ -277,6 +277,8 @@ impl ServerInner {
             };
         }
         let mut options = spec.options;
+        // A fresh handle per job: its row-hit counter feeds this job's
+        // `JobDone.cache_hits`.
         options.result_cache = ResultCacheHandle::new(Arc::clone(&self.cache));
         if options.job_deadline_ms.is_none() {
             options.job_deadline_ms = self.config.default_deadline_ms;
@@ -351,7 +353,6 @@ impl ServerInner {
         let Some(entry) = entry else { return };
         *entry.state.lock().expect("state lock") = JobState::Running;
         let netlists = std::mem::take(&mut *entry.netlists.lock().expect("netlists lock"));
-        let hits_before = self.cache.stats().hits;
         let streamed = &entry;
         let run = catch_unwind(AssertUnwindSafe(|| {
             run_netlists_streamed(
@@ -385,7 +386,10 @@ impl ServerInner {
                     job: entry.id,
                     rows: outcome.outcomes.len() - failures,
                     failures,
-                    cache_hits: self.cache.stats().hits - hits_before,
+                    // The job's own handle counts only its own row hits;
+                    // the shared cache's counters also move with every
+                    // other job a concurrent worker runs.
+                    cache_hits: entry.options.result_cache.row_hits(),
                 };
                 *entry.state.lock().expect("state lock") = JobState::Done;
                 entry.events.lock().expect("events lock").push_back(done);

@@ -11,11 +11,15 @@
 //! Flags:
 //!
 //! * `--cache` — attach the content-addressed result cache and run the
-//!   table twice: the cold pass fills the cache, the warm pass is served
-//!   entirely from it (the reported hit count equals the circuit count).
-//!   Both passes print the cache's hit/miss counters.
+//!   table twice: the cold pass fills the cache with one row per circuit,
+//!   the warm pass is served entirely from it (its hits equal the circuit
+//!   count). Both passes print the cache's hit/miss counters, and the
+//!   example asserts both counts.
 //! * `--cache-dir <path>` — like `--cache`, but also persist entries to
-//!   `<path>` as `<key>.wire` files, so a *later process* starts warm.
+//!   `<path>` as `<key>.wire` files, so a *later process* starts warm: when
+//!   `<path>` already holds entries (from an earlier run with the same
+//!   settings), the cold pass must be served from disk, one disk hit per
+//!   circuit.
 //!
 //! Environment knobs:
 //!
@@ -73,6 +77,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut options = ExperimentOptions::fast();
     options.max_patterns = Some(max_patterns);
+    let disk_entries_at_start = cache_dir.as_ref().map_or(0, |dir| {
+        std::fs::read_dir(dir).map_or(0, |entries| {
+            entries
+                .filter_map(Result::ok)
+                .filter(|entry| entry.path().extension().is_some_and(|ext| ext == "wire"))
+                .count()
+        })
+    });
     let cache = cache_enabled.then(|| {
         let cache = Arc::new(match &cache_dir {
             Some(dir) => ResultCache::with_disk(dir),
@@ -105,11 +117,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "cache after cold pass: {} hits, {} disk hits, {} misses, {} entries ({} bytes)",
             stats.hits, stats.disk_hits, stats.misses, stats.entries, stats.bytes
         );
+        // The cache holds finished rows only: one entry per circuit.
+        assert_eq!(stats.entries, specs.len(), "one cached row per circuit");
+        if disk_entries_at_start > 0 {
+            assert_eq!(
+                stats.disk_hits,
+                specs.len() as u64,
+                "a warm --cache-dir serves every circuit from disk"
+            );
+        }
         // A warm pass over the same inputs is served entirely from the
         // cache — one row-level hit per circuit, the replay skipped.
+        let cold_hits = stats.hits;
         let warm = run_table1(&specs, &options, scale, seed);
         assert_eq!(warm, report, "cached rows are byte-identical");
         let stats = cache.stats();
+        assert_eq!(
+            stats.hits - cold_hits,
+            specs.len() as u64,
+            "the warm pass is one row hit per circuit"
+        );
         eprintln!(
             "cache after warm pass: {} hits, {} disk hits, {} misses ({} circuits)",
             stats.hits,

@@ -83,8 +83,11 @@ fn cache_identity_across_thread_counts_and_replays() {
         (cached_runs - 1) * specs.len() as u64,
         "{stats:?}"
     );
+    // The cache stores finished rows only: the first run missed once per
+    // circuit and stored exactly those rows.
     let first_run_insertions = stats.insertions;
-    assert!(first_run_insertions > 0);
+    assert_eq!(stats.misses, specs.len() as u64, "{stats:?}");
+    assert_eq!(first_run_insertions, stats.misses, "{stats:?}");
     let again = run_table1_partial(&specs, &options(0, false, Some(&cache)), SCALE, SEED);
     assert_eq!(again, reference);
     assert_eq!(
@@ -96,7 +99,8 @@ fn cache_identity_across_thread_counts_and_replays() {
 
 /// A warm in-process rerun of `run_table1` returns byte-identical rows with
 /// the replay provably skipped: the hit counter advances by exactly the
-/// circuit count (one row-level hit per circuit, no scheme-level traffic).
+/// circuit count (one row-level hit per circuit). The cold run stores one
+/// row per circuit and nothing else.
 #[test]
 fn warm_rerun_is_served_entirely_from_the_cache() {
     let specs = specs();
@@ -106,7 +110,15 @@ fn warm_rerun_is_served_entirely_from_the_cache() {
     let cold = run_table1(&specs, &opts, SCALE, SEED);
     let after_cold: CacheStats = cache.stats();
     assert_eq!(after_cold.hits, 0, "nothing to hit on a cold cache");
-    assert!(after_cold.insertions > 0);
+    assert_eq!(
+        after_cold.misses,
+        specs.len() as u64,
+        "one row lookup per circuit"
+    );
+    assert_eq!(
+        after_cold.insertions, after_cold.misses,
+        "each missed row is stored, and nothing else is"
+    );
 
     let warm = run_table1(&specs, &opts, SCALE, SEED);
     assert_eq!(warm, cold, "warm rows are byte-identical");

@@ -458,3 +458,61 @@ fn broken_framing_ends_the_session_but_not_the_server() {
     drop(connector);
     listener.join().unwrap();
 }
+
+/// `JobDone.cache_hits` counts the job's own row hits, not the shared
+/// cache's: with two workers, a cold job held at its first circuit (a
+/// `core::experiment::circuit` delay) while a warm resubmission is served
+/// from the cache must still report 0, and the warm job exactly 1.
+///
+/// The delay only perturbs timing, never a result, so an unscoped test of
+/// this rig that happens to take the single firing instead just runs
+/// slower; the counts asserted here hold under any interleaving.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn job_done_counts_only_the_jobs_own_cache_hits() {
+    use std::time::Duration;
+
+    use scanpower_suite::sim::failpoint::{self, Fault};
+
+    let _scope = failpoint::scope();
+    let server = Server::new(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let (transport, connector) = LocalTransport::new();
+    let listener = server.spawn_listener(transport);
+    let mut client = ServeClient::new(connector.connect().unwrap());
+    let spec = |circuit: usize| JobSpec {
+        circuits: sources(&[circuit]),
+        options: options(1, true),
+    };
+    let warm_up = client.run_job(&spec(0)).unwrap();
+    assert_eq!(job_done_cache_hits(&warm_up.end), 0);
+
+    // Hold the next circuit job to start (the cold one) before its cache
+    // lookup, and submit the warm job only once the hold has begun.
+    failpoint::configure(
+        "core::experiment::circuit",
+        Fault::delay(Duration::from_secs(2)).for_key(0).times(1),
+    );
+    let Response::JobAccepted { job: cold } = client.submit(&spec(1)).unwrap() else {
+        panic!("cold submission refused");
+    };
+    while failpoint::fired_count("core::experiment::circuit") == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let Response::JobAccepted { job: warm } = client.submit(&spec(0)).unwrap() else {
+        panic!("warm submission refused");
+    };
+    let warm = client.drain_job(warm).unwrap();
+    let cold = client.drain_job(cold).unwrap();
+    assert_eq!(job_done_cache_hits(&warm.end), 1, "the warm job's own hit");
+    assert_eq!(
+        job_done_cache_hits(&cold.end),
+        0,
+        "the cold job computed its row; the warm job's hit is not its own"
+    );
+    drop(client);
+    drop(connector);
+    listener.join().unwrap();
+}
