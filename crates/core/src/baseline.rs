@@ -10,7 +10,6 @@
 //!   has no leakage awareness, so candidate selection is undirected.
 
 use scanpower_netlist::Netlist;
-use scanpower_power::{LeakageLibrary, LeakageObservability};
 use scanpower_sim::scan::ShiftConfig;
 use scanpower_sim::Logic;
 
@@ -40,7 +39,7 @@ impl InputControlBaseline {
     #[must_use]
     pub fn new() -> InputControlBaseline {
         InputControlBaseline {
-            finder: ControlPatternFinder::new(Directive::FirstAvailable),
+            finder: ControlPatternFinder::new(),
         }
     }
 
@@ -50,14 +49,11 @@ impl InputControlBaseline {
     /// this structure) and only the primary inputs may be assigned.
     #[must_use]
     pub fn plan(&self, netlist: &Netlist) -> InputControlResult {
-        // The observability object is required by the shared engine but the
-        // `FirstAvailable` directive never consults it.
-        let observability = LeakageObservability::compute(netlist, &LeakageLibrary::cmos45());
         let controlled = netlist.primary_inputs().to_vec();
         let sources = netlist.pseudo_inputs();
         let pattern = self
             .finder
-            .find(netlist, &controlled, &sources, &observability);
+            .find(netlist, &controlled, &sources, Directive::FirstAvailable);
         let pi_count = netlist.primary_inputs().len();
         let control_pi: Vec<Logic> = pattern.assignment[..pi_count]
             .iter()

@@ -1,15 +1,15 @@
 use scanpower_netlist::{NetId, Netlist};
 use scanpower_power::LeakageObservability;
-use scanpower_sim::{Evaluator, Logic};
+use scanpower_sim::{DirtyWorklist, Logic, SimKernel};
 
 /// How ties between candidate lines are broken during justification and
 /// candidate-input selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Directive {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Directive<'a> {
     /// The paper's rule: when a line must be set to 1 choose the candidate
     /// with minimum leakage observability, when it must be set to 0 choose
     /// the one with maximum leakage observability.
-    LeakageObservability,
+    LeakageObservability(&'a LeakageObservability),
     /// Take the first available candidate (the undirected C-algorithm of
     /// Huang & Lee \[8\]; also used by the ablation benches).
     FirstAvailable,
@@ -32,30 +32,51 @@ pub enum JustifyOutcome {
 /// inputs (controlled inputs may be 0/1/X, uncontrolled pseudo-inputs are
 /// pinned to X because their value keeps changing during shift) and the
 /// implied value of every net.
+///
+/// Implication is event-driven: every decision, flip or X-reset marks only
+/// the inputs it changed and [`SimKernel::propagate_from`] re-evaluates the
+/// gates those changes reach, leaving the values exactly as a full
+/// evaluation of the assignment would. Each attempt logs the first old value
+/// of every net it changes; a failed attempt is rolled back by restoring
+/// just those nets, and a satisfied one reports them through
+/// [`Justifier::changed_nets`]. Because decisions only assign don't-care
+/// inputs, a kept attempt only refines values from X to known — the
+/// refinement [`TransitionWorklist`](crate::TransitionWorklist) relies on.
 #[derive(Debug, Clone)]
-pub struct Justifier {
-    evaluator: Evaluator,
+pub struct Justifier<'a> {
+    kernel: SimKernel<Logic>,
+    dirty: DirtyWorklist,
     assignment: Vec<Logic>,
     values: Vec<Logic>,
     controllable: Vec<bool>,
     input_position: Vec<Option<usize>>,
-    directive: Directive,
+    directive: Directive<'a>,
     backtrack_limit: usize,
     decisions: usize,
+    /// Input positions assigned since the last implication.
+    pending: Vec<usize>,
+    /// `(net, value before the attempt)` for every net the current attempt
+    /// changed, first change only.
+    undo: Vec<(NetId, Logic)>,
+    /// Per net: the attempt that last logged it in `undo`.
+    logged: Vec<u64>,
+    attempt: u64,
+    /// Nets whose value the last satisfied attempt changed.
+    changed: Vec<NetId>,
 }
 
-impl Justifier {
+impl<'a> Justifier<'a> {
     /// Creates a justifier.
     ///
     /// `controlled` lists the nets whose value the search may assign
     /// (primary inputs plus multiplexed pseudo-inputs).
     #[must_use]
-    pub fn new(netlist: &Netlist, controlled: &[NetId], directive: Directive) -> Justifier {
-        let evaluator = Evaluator::new(netlist);
-        let width = evaluator.inputs().len();
+    pub fn new(netlist: &Netlist, controlled: &[NetId], directive: Directive<'a>) -> Justifier<'a> {
+        let kernel = SimKernel::new(netlist);
+        let width = kernel.inputs().len();
         let mut controllable = vec![false; width];
         let mut input_position = vec![None; netlist.net_count()];
-        for (i, &net) in evaluator.inputs().iter().enumerate() {
+        for (i, &net) in kernel.inputs().iter().enumerate() {
             input_position[net.index()] = Some(i);
         }
         for &net in controlled {
@@ -63,17 +84,23 @@ impl Justifier {
                 controllable[position] = true;
             }
         }
-        let assignment = vec![Logic::X; width];
-        let values = evaluator.evaluate(netlist, &assignment);
+        let mut values = vec![Logic::X; netlist.net_count()];
+        kernel.propagate(netlist, &mut values);
         Justifier {
-            evaluator,
-            assignment,
+            dirty: kernel.make_worklist(),
+            kernel,
+            assignment: vec![Logic::X; width],
             values,
             controllable,
             input_position,
             directive,
             backtrack_limit: 64,
             decisions: 0,
+            pending: Vec::new(),
+            undo: Vec::new(),
+            logged: vec![0; netlist.net_count()],
+            attempt: 0,
+            changed: Vec::new(),
         }
     }
 
@@ -88,8 +115,8 @@ impl Justifier {
         &self.values
     }
 
-    /// Current assignment of the combinational inputs (the order of
-    /// [`Evaluator::inputs`]).
+    /// Current assignment of the combinational inputs (primary inputs then
+    /// pseudo-inputs, the order of [`SimKernel::inputs`]).
     #[must_use]
     pub fn assignment(&self) -> &[Logic] {
         &self.assignment
@@ -107,21 +134,21 @@ impl Justifier {
         self.values[net.index()]
     }
 
+    /// The nets whose value the last [`Justifier::justify`] call changed —
+    /// each once, inputs included. Empty after a failed attempt, whose
+    /// changes were all rolled back.
+    #[must_use]
+    pub fn changed_nets(&self) -> &[NetId] {
+        &self.changed
+    }
+
     /// Selects, among the don't-care side inputs of a gate, the candidate to
     /// set to the controlling value, following the directive.
     #[must_use]
-    pub fn select_candidate(
-        &self,
-        candidates: &[NetId],
-        target: bool,
-        observability: &LeakageObservability,
-    ) -> Option<NetId> {
-        if candidates.is_empty() {
-            return None;
-        }
+    pub fn select_candidate(&self, candidates: &[NetId], target: bool) -> Option<NetId> {
         match self.directive {
             Directive::FirstAvailable => candidates.first().copied(),
-            Directive::LeakageObservability => {
+            Directive::LeakageObservability(observability) => {
                 observability.preferred_candidate(candidates, target)
             }
         }
@@ -129,14 +156,10 @@ impl Justifier {
 
     /// Tries to justify `value` on `objective` by assigning controlled
     /// inputs. On failure every decision made during this attempt is undone.
-    pub fn justify(
-        &mut self,
-        netlist: &Netlist,
-        objective: NetId,
-        value: bool,
-        observability: &LeakageObservability,
-    ) -> JustifyOutcome {
-        let snapshot = self.assignment.clone();
+    pub fn justify(&mut self, netlist: &Netlist, objective: NetId, value: bool) -> JustifyOutcome {
+        self.attempt += 1;
+        self.undo.clear();
+        self.changed.clear();
         let mut backtracks = 0usize;
         // Decision stack local to this objective.
         let mut stack: Vec<(usize, bool, bool)> = Vec::new();
@@ -145,41 +168,46 @@ impl Justifier {
         loop {
             if self.values[objective.index()] == target {
                 self.decisions += stack.len();
+                let values = &self.values;
+                self.changed.extend(
+                    self.undo
+                        .iter()
+                        .filter(|&&(net, old)| values[net.index()] != old)
+                        .map(|&(net, _)| net),
+                );
                 return JustifyOutcome::Satisfied;
             }
             let decision = if self.values[objective.index()] == Logic::X {
-                self.backtrace(netlist, objective, value, observability)
+                self.backtrace(netlist, objective, value)
             } else {
                 // The objective is implied to the opposite value: conflict.
                 None
             };
             match decision {
                 Some((position, decided)) => {
-                    self.assignment[position] = Logic::from_bool(decided);
+                    self.assign(position, Logic::from_bool(decided));
                     stack.push((position, decided, false));
-                    self.values = self.evaluator.evaluate(netlist, &self.assignment);
+                    self.imply(netlist);
                 }
                 None => loop {
                     match stack.pop() {
                         Some((position, decided, tried_both)) => {
                             if tried_both {
-                                self.assignment[position] = Logic::X;
+                                self.assign(position, Logic::X);
                                 continue;
                             }
                             backtracks += 1;
                             if backtracks > self.backtrack_limit {
-                                self.assignment = snapshot;
-                                self.values = self.evaluator.evaluate(netlist, &self.assignment);
+                                self.roll_back();
                                 return JustifyOutcome::Failed;
                             }
-                            self.assignment[position] = Logic::from_bool(!decided);
+                            self.assign(position, Logic::from_bool(!decided));
                             stack.push((position, !decided, true));
-                            self.values = self.evaluator.evaluate(netlist, &self.assignment);
+                            self.imply(netlist);
                             break;
                         }
                         None => {
-                            self.assignment = snapshot;
-                            self.values = self.evaluator.evaluate(netlist, &self.assignment);
+                            self.roll_back();
                             return JustifyOutcome::Failed;
                         }
                     }
@@ -188,16 +216,68 @@ impl Justifier {
         }
     }
 
+    /// Sets one input of the assignment; the change reaches the net values
+    /// at the next [`Justifier::imply`].
+    fn assign(&mut self, position: usize, value: Logic) {
+        self.assignment[position] = value;
+        self.pending.push(position);
+    }
+
+    /// Forward implication of the pending input changes, logging the old
+    /// value of every net that changes for the first time in this attempt.
+    fn imply(&mut self, netlist: &Netlist) {
+        let Justifier {
+            kernel,
+            dirty,
+            assignment,
+            values,
+            pending,
+            undo,
+            logged,
+            attempt,
+            ..
+        } = self;
+        let mut log = |net: NetId, old: Logic| {
+            if logged[net.index()] != *attempt {
+                logged[net.index()] = *attempt;
+                undo.push((net, old));
+            }
+        };
+        for position in pending.drain(..) {
+            let net = kernel.inputs()[position];
+            let old = values[net.index()];
+            if old != assignment[position] {
+                log(net, old);
+                values[net.index()] = assignment[position];
+                kernel.mark_net_changed(net, dirty);
+            }
+        }
+        kernel.propagate_from(netlist, values, dirty, None, |net, old, _| log(net, old));
+    }
+
+    /// Undoes the current attempt: every net it changed, and every input
+    /// among them, returns to its value before the attempt. Inputs still
+    /// pending were X-reset, and every input an attempt decides was X
+    /// before it, so they are restored already.
+    fn roll_back(&mut self) {
+        self.pending.clear();
+        for &(net, old) in &self.undo {
+            self.values[net.index()] = old;
+            if let Some(position) = self.input_position[net.index()] {
+                self.assignment[position] = old;
+            }
+        }
+    }
+
     /// Maps an internal objective to a single controlled-input decision by
     /// walking backwards through unknown gate inputs (the paper's
     /// `Backtrace` procedure). Candidate selection at every gate follows the
-    /// leakage-observability directive.
+    /// directive.
     fn backtrace(
         &self,
         netlist: &Netlist,
         objective: NetId,
         objective_value: bool,
-        observability: &LeakageObservability,
     ) -> Option<(usize, bool)> {
         let mut net = objective;
         let mut value = objective_value;
@@ -231,7 +311,7 @@ impl Justifier {
                 value
             };
             let chosen = self
-                .select_candidate(&unknown, next_value, observability)
+                .select_candidate(&unknown, next_value)
                 .unwrap_or(unknown[0]);
             net = chosen;
             value = next_value;
@@ -258,8 +338,8 @@ mod tests {
         let g = n.add_gate(GateKind::Nand, &[a, b], "g");
         n.mark_output(g.output);
         let obs = observability(&n);
-        let mut justifier = Justifier::new(&n, &[a, b], Directive::LeakageObservability);
-        let outcome = justifier.justify(&n, g.output, false, &obs);
+        let mut justifier = Justifier::new(&n, &[a, b], Directive::LeakageObservability(&obs));
+        let outcome = justifier.justify(&n, g.output, false);
         assert_eq!(outcome, JustifyOutcome::Satisfied);
         assert_eq!(justifier.value(g.output), Logic::Zero);
         assert_eq!(justifier.value(a), Logic::One);
@@ -277,13 +357,13 @@ mod tests {
         n.mark_output(g.output);
         n.try_add_dff_driving(g.output, q).unwrap();
         let obs = observability(&n);
-        let mut justifier = Justifier::new(&n, &[a], Directive::LeakageObservability);
-        let outcome = justifier.justify(&n, g.output, false, &obs);
+        let mut justifier = Justifier::new(&n, &[a], Directive::LeakageObservability(&obs));
+        let outcome = justifier.justify(&n, g.output, false);
         assert_eq!(outcome, JustifyOutcome::Failed);
         // The failed attempt must leave no residue.
         assert!(justifier.assignment().iter().all(|&v| v == Logic::X));
         // But out = 1 only needs a = 0, which is controlled.
-        let outcome = justifier.justify(&n, g.output, true, &obs);
+        let outcome = justifier.justify(&n, g.output, true);
         assert_eq!(outcome, JustifyOutcome::Satisfied);
         assert_eq!(justifier.value(a), Logic::Zero);
     }
@@ -301,14 +381,14 @@ mod tests {
         n.mark_output(g2.output);
         n.try_add_dff_driving(g2.output, q).unwrap();
         let obs = observability(&n);
-        let mut justifier = Justifier::new(&n, &[a, b], Directive::LeakageObservability);
+        let mut justifier = Justifier::new(&n, &[a, b], Directive::LeakageObservability(&obs));
         assert_eq!(
-            justifier.justify(&n, g1.output, false, &obs),
+            justifier.justify(&n, g1.output, false),
             JustifyOutcome::Satisfied
         );
         let kept = justifier.value(a);
         assert_eq!(
-            justifier.justify(&n, g2.output, false, &obs),
+            justifier.justify(&n, g2.output, false),
             JustifyOutcome::Failed
         );
         assert_eq!(justifier.value(a), kept, "earlier decision must survive");
@@ -328,11 +408,11 @@ mod tests {
         let g3 = n.add_gate(GateKind::Nand, &[a, g2.output], "g3");
         n.mark_output(g3.output);
         let obs = observability(&n);
-        let justifier = Justifier::new(&n, &[a, b], Directive::LeakageObservability);
-        let chosen = justifier.select_candidate(&[a, b], true, &obs).unwrap();
+        let justifier = Justifier::new(&n, &[a, b], Directive::LeakageObservability(&obs));
+        let chosen = justifier.select_candidate(&[a, b], true).unwrap();
         assert_eq!(chosen, if obs.of(a) < obs.of(b) { a } else { b });
         let first = Justifier::new(&n, &[a, b], Directive::FirstAvailable);
-        assert_eq!(first.select_candidate(&[a, b], true, &obs), Some(a));
+        assert_eq!(first.select_candidate(&[a, b], true), Some(a));
     }
 
     #[test]
@@ -348,9 +428,12 @@ mod tests {
         let nor = n.add_gate(GateKind::Nor, &[and.output, inv.output], "nor");
         n.mark_output(nor.output);
         let obs = observability(&n);
-        for directive in [Directive::LeakageObservability, Directive::FirstAvailable] {
+        for directive in [
+            Directive::LeakageObservability(&obs),
+            Directive::FirstAvailable,
+        ] {
             let mut justifier = Justifier::new(&n, &[a, b], directive);
-            let outcome = justifier.justify(&n, nor.output, true, &obs);
+            let outcome = justifier.justify(&n, nor.output, true);
             assert_eq!(outcome, JustifyOutcome::Satisfied, "{directive:?}");
             assert_eq!(justifier.value(a), Logic::One);
             assert_eq!(justifier.value(b), Logic::Zero);

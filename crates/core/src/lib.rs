@@ -44,6 +44,8 @@ pub mod error;
 pub mod experiment;
 mod justify;
 mod pattern;
+#[cfg(test)]
+mod plan_reference;
 mod proposed;
 mod structure;
 mod wire_impls;

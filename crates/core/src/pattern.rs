@@ -1,5 +1,4 @@
 use scanpower_netlist::{NetId, Netlist};
-use scanpower_power::LeakageObservability;
 use scanpower_sim::Logic;
 use scanpower_timing::CapacitanceModel;
 
@@ -13,28 +12,33 @@ use crate::worklist::TransitionWorklist;
 /// output capacitance and tries to block it by justifying the gate's
 /// controlling value on one of its don't-care side inputs, using only the
 /// controlled inputs (primary inputs and multiplexed pseudo-inputs) as
-/// decision variables. Candidate selection and justification are directed by
-/// leakage observability so that, among all transition-blocking vectors, a
-/// low-leakage one is produced.
+/// decision variables. Under [`Directive::LeakageObservability`], candidate
+/// selection and justification are directed by leakage observability so
+/// that, among all transition-blocking vectors, a low-leakage one is
+/// produced.
+///
+/// The search is incremental: the [`Justifier`] re-implies only what each
+/// decision reaches and reports the nets a kept justification refined, and
+/// the [`TransitionWorklist`] updates the TNS/TGS from those nets and the
+/// newly added transition nodes instead of recomputing them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControlPatternFinder {
-    directive: Directive,
     capacitance: CapacitanceModel,
     backtrack_limit: usize,
 }
 
 impl Default for ControlPatternFinder {
     fn default() -> Self {
-        ControlPatternFinder::new(Directive::LeakageObservability)
+        ControlPatternFinder::new()
     }
 }
 
 impl ControlPatternFinder {
-    /// Creates a finder with the given decision directive.
+    /// Creates a finder with the default capacitance model and a backtrack
+    /// budget of 64 per objective.
     #[must_use]
-    pub fn new(directive: Directive) -> ControlPatternFinder {
+    pub fn new() -> ControlPatternFinder {
         ControlPatternFinder {
-            directive,
             capacitance: CapacitanceModel::default(),
             backtrack_limit: 64,
         }
@@ -54,35 +58,35 @@ impl ControlPatternFinder {
         self
     }
 
-    /// The decision directive in use.
-    #[must_use]
-    pub fn directive(&self) -> Directive {
-        self.directive
-    }
-
     /// Runs the procedure.
     ///
     /// * `controlled` — nets whose value can be fixed during scan mode
     ///   (primary inputs plus multiplexed pseudo-inputs);
     /// * `transition_sources` — the non-multiplexed pseudo-inputs whose
     ///   rippling values must be kept from propagating;
-    /// * `observability` — leakage observabilities for every line.
+    /// * `directive` — how candidate lines are chosen; the leakage-directed
+    ///   directive carries the observability of every line.
     #[must_use]
     pub fn find(
         &self,
         netlist: &Netlist,
         controlled: &[NetId],
         transition_sources: &[NetId],
-        observability: &LeakageObservability,
+        directive: Directive<'_>,
     ) -> ControlPattern {
-        let mut justifier = Justifier::new(netlist, controlled, self.directive);
+        let mut justifier = Justifier::new(netlist, controlled, directive);
         justifier.set_backtrack_limit(self.backtrack_limit);
-        let mut worklist = TransitionWorklist::new(netlist, transition_sources, justifier.values());
+        let mut worklist = TransitionWorklist::new(
+            netlist,
+            transition_sources,
+            justifier.values(),
+            &self.capacitance,
+        );
 
         let mut stats = PatternStats::default();
         let max_iterations = netlist.gate_count() * 2 + 16;
 
-        while let Some((mc_tg, mc_tn)) = worklist.most_capacitive_gate(netlist, &self.capacitance) {
+        while let Some((mc_tg, mc_tn)) = worklist.most_capacitive_gate(netlist) {
             stats.iterations += 1;
             if stats.iterations > max_iterations {
                 break;
@@ -100,20 +104,16 @@ impl ControlPatternFinder {
                 .iter()
                 .copied()
                 .filter(|&n| {
-                    n != mc_tn
-                        && !worklist.transition_nodes().contains(&n)
-                        && justifier.value(n) == Logic::X
+                    n != mc_tn && !worklist.is_transition_node(n) && justifier.value(n) == Logic::X
                 })
                 .collect();
             let mut blocked = false;
             while !candidates.is_empty() {
                 let chosen = justifier
-                    .select_candidate(&candidates, controlling, observability)
+                    .select_candidate(&candidates, controlling)
                     .expect("candidates is not empty");
                 candidates.retain(|&n| n != chosen);
-                if justifier.justify(netlist, chosen, controlling, observability)
-                    == JustifyOutcome::Satisfied
-                {
+                if justifier.justify(netlist, chosen, controlling) == JustifyOutcome::Satisfied {
                     blocked = true;
                     break;
                 }
@@ -122,22 +122,21 @@ impl ControlPatternFinder {
 
             if blocked {
                 stats.blocked_gates += 1;
-                worklist.resolve_gate(netlist, mc_tg, justifier.values());
+                worklist.resolve_gate(netlist, mc_tg, justifier.values(), justifier.changed_nets());
             } else {
                 // The transition cannot be suppressed here; it propagates to
                 // the gate output, which becomes a new transition node, and
-                // the search continues further downstream.
+                // the search continues further downstream. Failed attempts
+                // were rolled back, so no value changed.
                 stats.unblocked_gates += 1;
-                let output = gate.output;
-                worklist.add_nodes(netlist, &[output], justifier.values());
+                worklist.add_nodes(netlist, &[gate.output], justifier.values(), &[]);
             }
         }
 
         stats.decisions = justifier.decisions();
-        stats.transition_nodes = worklist.transition_nodes().len();
-        let assignment = justifier.assignment().to_vec();
+        stats.transition_nodes = worklist.transition_node_count();
         ControlPattern {
-            assignment,
+            assignment: justifier.assignment().to_vec(),
             controlled: controlled.to_vec(),
             transition_sources: transition_sources.to_vec(),
             stats,
@@ -211,7 +210,7 @@ impl ControlPattern {
 mod tests {
     use super::*;
     use scanpower_netlist::{bench, generator::CircuitFamily, GateKind, Netlist};
-    use scanpower_power::LeakageLibrary;
+    use scanpower_power::{LeakageLibrary, LeakageObservability};
     use scanpower_sim::patterns::random_bool_patterns;
     use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
 
@@ -230,7 +229,12 @@ mod tests {
         n.mark_output(g2.output);
         n.try_add_dff_driving(g2.output, q).unwrap();
         let obs = observability(&n);
-        let pattern = ControlPatternFinder::default().find(&n, &[a], &[q], &obs);
+        let pattern = ControlPatternFinder::default().find(
+            &n,
+            &[a],
+            &[q],
+            Directive::LeakageObservability(&obs),
+        );
         let a_index = 0; // `a` is the only primary input.
         assert_eq!(pattern.assignment[a_index], Logic::Zero);
         assert_eq!(pattern.stats.blocked_gates, 1);
@@ -248,7 +252,12 @@ mod tests {
         let pseudo = n.pseudo_inputs();
         controlled.extend(&pseudo[..2]);
         let sources = vec![pseudo[2]];
-        let pattern = ControlPatternFinder::default().find(&n, &controlled, &sources, &obs);
+        let pattern = ControlPatternFinder::default().find(
+            &n,
+            &controlled,
+            &sources,
+            Directive::LeakageObservability(&obs),
+        );
         assert!(pattern.blocking_ratio() > 0.5);
         assert!(pattern.specified_inputs() > 0);
         assert!(pattern.specified_inputs() <= controlled.len());
@@ -274,7 +283,12 @@ mod tests {
         let half = pseudo.len() / 2;
         controlled.extend(&pseudo[..half]);
         let sources: Vec<NetId> = pseudo[half..].to_vec();
-        let pattern = ControlPatternFinder::default().find(&circuit, &controlled, &sources, &obs);
+        let pattern = ControlPatternFinder::default().find(
+            &circuit,
+            &controlled,
+            &sources,
+            Directive::LeakageObservability(&obs),
+        );
 
         // Build scan patterns and compare traditional vs controlled shift.
         let pi = circuit.primary_inputs().len();
@@ -330,18 +344,14 @@ mod tests {
         let half = pseudo.len() / 2;
         controlled.extend(&pseudo[..half]);
         let sources: Vec<NetId> = pseudo[half..].to_vec();
-        let directed = ControlPatternFinder::new(Directive::LeakageObservability).find(
+        let finder = ControlPatternFinder::new();
+        let directed = finder.find(
             &circuit,
             &controlled,
             &sources,
-            &obs,
+            Directive::LeakageObservability(&obs),
         );
-        let undirected = ControlPatternFinder::new(Directive::FirstAvailable).find(
-            &circuit,
-            &controlled,
-            &sources,
-            &obs,
-        );
+        let undirected = finder.find(&circuit, &controlled, &sources, Directive::FirstAvailable);
         // Both must block a sizeable share of the transition gates.
         assert!(directed.blocking_ratio() > 0.3);
         assert!(undirected.blocking_ratio() > 0.3);
@@ -354,7 +364,12 @@ mod tests {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let obs = observability(&n);
         let controlled = n.combinational_inputs();
-        let pattern = ControlPatternFinder::default().find(&n, &controlled, &[], &obs);
+        let pattern = ControlPatternFinder::default().find(
+            &n,
+            &controlled,
+            &[],
+            Directive::LeakageObservability(&obs),
+        );
         assert_eq!(pattern.stats.iterations, 0);
         assert_eq!(pattern.specified_inputs(), 0);
         assert!((pattern.blocking_ratio() - 1.0).abs() < 1e-12);

@@ -120,34 +120,32 @@ impl ProposedMethod {
             plan = plan.limited_to_fraction(fraction);
         }
 
-        // Step 2: leakage observability of every line. The sampled variant
-        // runs the forward pass on the 64-wide packed kernel.
-        let observability = match self.options.sampled_observability {
-            Some(blocks) => LeakageObservability::compute_sampled_with(
-                netlist,
-                &self.library,
-                blocks,
-                self.options.seed,
-                &BlockDriver::new(self.options.threads),
-            ),
-            None => LeakageObservability::compute(netlist, &self.library),
-        };
+        // Step 2: leakage observability of every line, which only the
+        // leakage-directed search reads. The sampled variant runs the
+        // forward pass on the 64-wide packed kernel.
+        let observability =
+            self.options
+                .leakage_directed
+                .then(|| match self.options.sampled_observability {
+                    Some(blocks) => LeakageObservability::compute_sampled_with(
+                        netlist,
+                        &self.library,
+                        blocks,
+                        self.options.seed,
+                        &BlockDriver::new(self.options.threads),
+                    ),
+                    None => LeakageObservability::compute(netlist, &self.library),
+                });
 
         // Step 3: FindControlledInputPattern().
-        let directive = if self.options.leakage_directed {
-            Directive::LeakageObservability
-        } else {
-            Directive::FirstAvailable
+        let directive = match &observability {
+            Some(observability) => Directive::LeakageObservability(observability),
+            None => Directive::FirstAvailable,
         };
         let mut controlled = netlist.primary_inputs().to_vec();
         controlled.extend(plan.muxed_nets());
         let sources = plan.unmuxed_nets();
-        let pattern = ControlPatternFinder::new(directive).find(
-            netlist,
-            &controlled,
-            &sources,
-            &observability,
-        );
+        let pattern = ControlPatternFinder::new().find(netlist, &controlled, &sources, directive);
 
         // Step 4: fill the remaining don't-care controlled inputs with a
         // simulation-based minimum-leakage search. The non-multiplexed
